@@ -4,11 +4,11 @@
 // --write-baseline the merged measurements replace the baseline instead (no
 // comparison). With --require-work-items, any current record whose
 // machine-independent work counter is missing-in-effect (<= 0) also fails the
-// gate. With --gate-memory, peak_segment_bytes / peak_msg_bytes /
-// peak_rss_bytes are gated too when both sides report them (RSS gets a more
-// generous allowance; see CompareOptions). Malformed input — not a JSON
-// array, missing/mistyped required fields, NaN rates — is a hard error
-// (exit 2), never a silent skip. Used by ci/perf_smoke.sh.
+// gate. With --gate-memory, peak_segment_bytes and peak_rss_bytes are gated
+// too when both sides report them (RSS gets a more generous allowance; see
+// CompareOptions). Malformed input — not a JSON array, missing/mistyped
+// required fields, NaN rates — is a hard error (exit 2), never a silent skip.
+// Used by ci/perf_smoke.sh.
 //
 // Usage:
 //   bench_compare [--require-work-items] [--gate-memory] <baseline.json> <max_regression> <current.json>...

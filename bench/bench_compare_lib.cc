@@ -115,13 +115,10 @@ Status LoadRecords(const std::string& json_text, const std::string& origin,
                                        0.0, &r.peak_segment_bytes));
     UG_RETURN_NOT_OK(GetOptionalNumber(entry, origin, name, "peak_rss_bytes",
                                        0.0, &r.peak_rss_bytes));
-    UG_RETURN_NOT_OK(GetOptionalNumber(entry, origin, name, "peak_msg_bytes",
-                                       0.0, &r.peak_msg_bytes));
     if (r.median_real_ns < 0.0 || r.rel_spread < 0.0) {
       return FieldError(origin, name, "median_real_ns/rel_spread", "is negative");
     }
-    if (r.peak_segment_bytes < 0.0 || r.peak_rss_bytes < 0.0 ||
-        r.peak_msg_bytes < 0.0) {
+    if (r.peak_segment_bytes < 0.0 || r.peak_rss_bytes < 0.0) {
       return FieldError(origin, name, "peak_*_bytes", "is negative");
     }
     r.threads = static_cast<int64_t>(threads);
@@ -156,8 +153,7 @@ std::string FormatRecords(const std::map<std::string, Record>& records) {
       const char* key;
       double value;
     } mem[] = {{"peak_segment_bytes", r.peak_segment_bytes},
-               {"peak_rss_bytes", r.peak_rss_bytes},
-               {"peak_msg_bytes", r.peak_msg_bytes}};
+               {"peak_rss_bytes", r.peak_rss_bytes}};
     for (const auto& m : mem) {
       if (m.value > 0.0) {
         std::snprintf(buf, sizeof(buf), ", \"%s\": %g", m.key, m.value);
@@ -219,9 +215,7 @@ Comparison Compare(const std::map<std::string, Record>& baseline,
       } mem[] = {{"peak_segment_bytes", base.peak_segment_bytes,
                   cur.peak_segment_bytes, options.max_mem_regression},
                  {"peak_rss_bytes", base.peak_rss_bytes, cur.peak_rss_bytes,
-                  options.max_rss_regression},
-                 {"peak_msg_bytes", base.peak_msg_bytes, cur.peak_msg_bytes,
-                  options.max_mem_regression}};
+                  options.max_rss_regression}};
       for (const auto& m : mem) {
         if (m.base_v <= 0.0 || m.cur_v <= 0.0) continue;
         const double mem_ratio = m.cur_v / m.base_v;

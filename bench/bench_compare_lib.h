@@ -32,7 +32,6 @@ struct Record {
   // written before these fields existed load as 0 and are never gated).
   double peak_segment_bytes = 0.0;  // segment-cache high-water mark
   double peak_rss_bytes = 0.0;      // process RSS high-water mark
-  double peak_msg_bytes = 0.0;      // message-stream buffer high-water mark
 };
 
 /// Parses one BENCH.json array into `out` (later records override earlier
@@ -60,9 +59,8 @@ struct CompareOptions {
   /// improves. Fields absent from either side are skipped, so old baselines
   /// stay comparable.
   bool gate_memory = false;
-  /// Allowed growth for peak_segment_bytes / peak_msg_bytes. These are
-  /// deterministic byte counters (cache/budget bookkeeping, not the OS), so
-  /// the gate is tight-ish.
+  /// Allowed growth for peak_segment_bytes. It is a deterministic byte
+  /// counter (cache bookkeeping, not the OS), so the gate is tight-ish.
   double max_mem_regression = 0.30;
   /// Allowed growth for peak_rss_bytes. RSS folds in allocator slack, page
   /// cache sharing, and whatever the process touched earlier, so the

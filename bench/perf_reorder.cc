@@ -1,6 +1,6 @@
-// Memory-locality layer: kernel time on original vs reordered graphs, the
-// cache-blocked PageRank mode, and the compressed-CSR backend (decode overhead
-// plus bytes-per-edge vs the plain 4-byte adjacency array). The reordering
+// Memory-locality layer: kernel time on original vs reordered graphs and the
+// compressed-CSR backend (decode overhead plus bytes-per-edge vs the plain
+// 4-byte adjacency array). The reordering
 // itself runs once per (scale, kind) in setup — the benchmarks time the
 // kernels, not the passes — except BM_ReorderPass, which times the passes.
 #include <benchmark/benchmark.h>
@@ -92,28 +92,6 @@ BENCHMARK(BM_PageRankPullHub)->ORDERED_ARGS;
 BENCHMARK(BM_PageRankPullRcm)->ORDERED_ARGS;
 BENCHMARK(BM_PageRankPullHubCluster)->ORDERED_ARGS;
 #undef ORDERED_ARGS
-
-// Cache-blocked (propagation blocking) push vs the plain modes benchmarked in
-// perf_pagerank; Args = {scale, num_threads}.
-void BM_PageRankBlocked(benchmark::State& state) {
-  const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  const CsrGraph& g = bench::RmatGraph(scale, /*in_edges=*/true);
-  algo::PageRankOptions opts;
-  opts.max_iterations = 20;
-  opts.tolerance = 0;
-  opts.mode = algo::PageRankMode::kBlocked;
-  opts.num_threads = static_cast<uint32_t>(state.range(1));
-  bench::WorkProbe work({"pagerank.edges_relaxed"});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::PageRank(g, opts).ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges() * 20);
-  work.Flush(state);
-  state.SetLabel("kernel=pagerank mode=blocked graph=rmat" +
-                 std::to_string(scale));
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_PageRankBlocked)->Args({12, 1})->Args({20, 1})->Args({20, 8});
 
 // Hybrid BFS on the hub-sorted graph vs original (the frontier bitmap and
 // distance array get the same locality win as PageRank's rank array).

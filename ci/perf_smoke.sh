@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Perf smoke gate: runs the perf-labeled ctest suite, then the small-graph
-# (scale-12) slice of the benchmarks, and fails if any benchmark's median
-# real time regressed more than the noise-aware allowance (25% + both runs'
-# observed rel_spread) against the checked-in ci/perf_baseline.json, or if
-# any current record is missing its machine-independent work counter
-# (--require-work-items), or if a memory counter shared by baseline and
-# current (peak_segment_bytes / peak_msg_bytes, and more loosely
-# peak_rss_bytes) grew past its gate (--gate-memory) — the out-of-core
-# records must stay out-of-core. The scale-12 slice includes non-RMAT corpus shapes
-# (BM_BfsHybridRoad on the road lattice, BM_PageRankPullLfr on the LFR
-# community graph), so the gate is not blind to locality regressions that an
-# RMAT-only smoke would miss.
+# Perf smoke gate: runs the perf-labeled ctest suite, builds and smoke-runs
+# the end-to-end benchmark (perfbench/ is its own CMake package that the
+# top-level build never compiles, so a library API change could otherwise
+# break it unseen), then runs the small-graph (scale-12) slice of the
+# benchmarks. It fails if any benchmark's median real time regressed more
+# than the noise-aware allowance (25% + both runs' observed rel_spread)
+# against the checked-in ci/perf_baseline.json, or if any current record is
+# missing its machine-independent work counter (--require-work-items), or if
+# a memory counter shared by baseline and current (peak_segment_bytes, and
+# more loosely peak_rss_bytes) grew past its gate (--gate-memory) — the
+# out-of-core records must stay out-of-core. The scale-12 slice includes
+# non-RMAT corpus shapes (BM_BfsHybridRoad on the road lattice,
+# BM_PageRankPullLfr on the LFR community graph), so the gate is not blind to
+# locality regressions that an RMAT-only smoke would miss.
 #
 # Wall-clock baselines are machine-relative: regenerate on the machine that
 # enforces the gate with
@@ -43,6 +45,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
 
 # Timing-sensitive test suite (obs overhead budget, etc.).
 ctest --test-dir "$BUILD_DIR" -L perf --output-on-failure
+
+# Every end-to-end workload at tiny scale must answer correctly, and a
+# corrupted answer must be caught.
+python3 "$ROOT/perfbench/run.py" --smoke
 
 OUTS=()
 for bin in "${SMOKE_BINARIES[@]}"; do

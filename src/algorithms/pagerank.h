@@ -31,16 +31,6 @@ enum class PageRankMode : uint8_t {
   /// Requires in-edges on directed graphs. Converges to the same fixpoint
   /// within `tolerance`; intermediate iterates may differ from kPull.
   kDelta,
-  /// Cache-blocked push (propagation blocking): phase 1 streams each source
-  /// range's contributions into per-(worker, destination-bin) buffers; phase
-  /// 2 accumulates one LLC-sized bin of next[] at a time, turning push
-  /// mode's random scatter into sequential bin traffic. Needs no in-edge
-  /// index. Each destination's contributions are applied one at a time in
-  /// ascending source order at every thread count, so scores are
-  /// bitwise-identical across thread counts *and* to serial kPush (modulo
-  /// the dangling-mass sum, which is exact on dangling-free graphs). Costs
-  /// ~12 bytes per edge of bin scratch.
-  kBlocked,
 };
 
 struct PageRankOptions {
@@ -64,11 +54,6 @@ struct PageRankOptions {
   /// of the serial path).
   uint32_t num_threads = 1;
   PageRankMode mode = PageRankMode::kAuto;
-  /// kBlocked only: log2 of the destination-bin width in vertices. The
-  /// default (2^18 vertices x 8-byte next[] entries = 2 MB per bin) targets a
-  /// per-core LLC slice; graphs smaller than one bin degenerate to plain
-  /// push order, which is exactly the intended semantics.
-  uint32_t blocked_bin_bits = 18;
 };
 
 struct PageRankResult {
@@ -81,8 +66,8 @@ struct PageRankResult {
 };
 
 /// Runs power iteration in the selected mode. kPull/kDelta require in-edges
-/// for directed graphs and fail with InvalidArgument otherwise; kPush and
-/// kBlocked always work; kAuto picks pull when it can.
+/// for directed graphs and fail with InvalidArgument otherwise; kPush always
+/// works; kAuto picks pull when it can.
 Result<PageRankResult> PageRank(const CsrGraph& g, PageRankOptions options = {});
 
 /// Same kernel on the varint/delta-gap compressed backend (the two overloads

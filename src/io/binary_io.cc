@@ -86,7 +86,10 @@ Result<EdgeList> ParseBinaryGraph(const std::string& data) {
   }
   bool has_weights = (flags & kFlagWeights) != 0;
   size_t edge_size = has_weights ? 16 : 8;
-  if (pos + num_edges * edge_size + 4 != data.size()) {
+  // Compare by division: num_edges * edge_size can wrap u64 (2^60 x 16 == 0)
+  // and let a lying header through to a Reserve that throws.
+  const size_t payload = data.size() - pos - 4;
+  if (payload % edge_size != 0 || num_edges != payload / edge_size) {
     return Status::Corruption("edge payload size mismatch");
   }
 

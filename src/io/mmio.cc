@@ -1,5 +1,6 @@
 #include "io/mmio.h"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
@@ -77,7 +78,11 @@ Result<EdgeList> ParseMatrixMarketImpl(const std::string& text) {
   }
 
   EdgeList el(static_cast<VertexId>(num_vertices));
-  el.Reserve(static_cast<size_t>(symmetric ? 2 * nnz : nnz));
+  // Reserve from the bytes actually present, never from the declared nnz: a
+  // lying size line must not allocate. The shortest entry line is "i j\n".
+  const int64_t max_entries = static_cast<int64_t>(text.size() / 4) + 1;
+  const int64_t expected = std::min(nnz, max_entries);
+  el.Reserve(static_cast<size_t>(symmetric ? 2 * expected : expected));
   int64_t read = 0;
   while (std::getline(in, line)) {
     ++line_no;

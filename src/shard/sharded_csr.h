@@ -15,9 +15,9 @@
 // Determinism contract (see DESIGN.md "Sharded out-of-core execution"): the
 // permutation depends only on the partitioner inputs (graph, shard count,
 // seed), never on thread count, and kContiguous is the identity permutation
-// at every shard count — so kernels that replay messages in ascending
-// worker/shard order (shard_kernels.h) reproduce the in-RAM kernels' exact
-// float associations.
+// at every shard count — so kernels that fold each destination in ascending
+// source order (shard_kernels.h) reproduce the in-RAM kernels' exact float
+// associations.
 #pragma once
 
 #include <cstdint>
@@ -119,11 +119,6 @@ class ShardedCsr {
   /// and threading contract as InvOutDegrees().
   std::span<const VertexId> OldToNew(ThreadPool* pool = nullptr) const;
 
-  /// The directory this instance was Open()ed from; empty for Build-produced
-  /// (in-memory) instances. Kernels place message spill scratch here so it
-  /// shares the segment files' filesystem.
-  const std::string& dir() const { return dir_; }
-
   SegmentCache& cache() const { return *cache_; }
 
   /// Acquire + cross-check: the pinned view must cover exactly this shard's
@@ -147,7 +142,6 @@ class ShardedCsr {
   ShardManifest manifest_;
   std::vector<uint16_t> shard_of_;  // size V; why num_shards <= 65535
   std::unique_ptr<SegmentCache> cache_;
-  std::string dir_;  // set by Open()
   std::unique_ptr<Derived> derived_;
 };
 

@@ -183,17 +183,15 @@ TEST(BenchCompareLoadTest, MemoryFieldsParseAndDefault) {
       R"([{"name": "BM_X", "kernel": "pagerank", "threads": 1,
            "median_real_ns": 1.0, "edges_per_second": 1.0,
            "bytes_per_edge": 0, "work_items": 1,
-           "peak_segment_bytes": 4096, "peak_rss_bytes": 1e9,
-           "peak_msg_bytes": 2048},
+           "peak_segment_bytes": 4096, "peak_rss_bytes": 1e9},
           {"name": "BM_Old", "kernel": "pagerank", "threads": 1,
            "median_real_ns": 1.0, "edges_per_second": 1.0,
            "bytes_per_edge": 0, "work_items": 1}])");
   EXPECT_DOUBLE_EQ(records.at("BM_X").peak_segment_bytes, 4096.0);
   EXPECT_DOUBLE_EQ(records.at("BM_X").peak_rss_bytes, 1e9);
-  EXPECT_DOUBLE_EQ(records.at("BM_X").peak_msg_bytes, 2048.0);
   // Pre-memory-field files load with zeros (and are never memory-gated).
   EXPECT_DOUBLE_EQ(records.at("BM_Old").peak_segment_bytes, 0.0);
-  EXPECT_DOUBLE_EQ(records.at("BM_Old").peak_msg_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(records.at("BM_Old").peak_rss_bytes, 0.0);
 }
 
 TEST(BenchCompareLoadTest, NegativeMemoryFieldIsRejected) {
@@ -201,7 +199,8 @@ TEST(BenchCompareLoadTest, NegativeMemoryFieldIsRejected) {
   Status st = LoadRecords(
       R"([{"name": "BM_X", "kernel": "pagerank", "threads": 1,
            "median_real_ns": 1.0, "edges_per_second": 1.0,
-           "bytes_per_edge": 0, "work_items": 1, "peak_msg_bytes": -5}])",
+           "bytes_per_edge": 0, "work_items": 1,
+           "peak_segment_bytes": -5}])",
       "cur.json", &out);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("peak_*_bytes"), std::string::npos);
@@ -212,38 +211,35 @@ TEST(BenchCompareLoadTest, MemoryFieldsRoundTripThroughFormat) {
       R"([{"name": "BM_X", "kernel": "pagerank", "threads": 1,
            "median_real_ns": 1.0, "edges_per_second": 1.0,
            "bytes_per_edge": 0, "work_items": 1,
-           "peak_segment_bytes": 4096, "peak_msg_bytes": 2048}])");
+           "peak_segment_bytes": 4096}])");
   const std::string text = FormatRecords(records);
   // Zero-valued counters stay absent so pre-memory baselines survive a
   // load/format round-trip unchanged.
   EXPECT_EQ(text.find("peak_rss_bytes"), std::string::npos);
   auto reloaded = MustLoad(text);
   EXPECT_DOUBLE_EQ(reloaded.at("BM_X").peak_segment_bytes, 4096.0);
-  EXPECT_DOUBLE_EQ(reloaded.at("BM_X").peak_msg_bytes, 2048.0);
   EXPECT_DOUBLE_EQ(reloaded.at("BM_X").peak_rss_bytes, 0.0);
 }
 
-Record MakeMemRecord(double ns, double seg, double rss, double msg) {
+Record MakeMemRecord(double ns, double seg, double rss) {
   Record r = MakeRecord(ns);
   r.peak_segment_bytes = seg;
   r.peak_rss_bytes = rss;
-  r.peak_msg_bytes = msg;
   return r;
 }
 
 TEST(BenchCompareGateTest, MemoryGateOffByDefault) {
   // 10x segment-byte growth passes when --gate-memory is not set.
-  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 1000, 0, 0)}};
-  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 10000, 0, 0)}};
+  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 1000, 0)}};
+  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 10000, 0)}};
   Comparison cmp = Compare(base, cur, CompareOptions{});
   EXPECT_EQ(cmp.mem_regressions, 0);
   EXPECT_TRUE(cmp.ok());
 }
 
 TEST(BenchCompareGateTest, MemoryGateFlagsGrowthBeyondAllowance) {
-  std::map<std::string, Record> base{
-      {"a", MakeMemRecord(1000, 1000, 0, 500)}};
-  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 1400, 0, 500)}};
+  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 1000, 0)}};
+  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 1400, 0)}};
   CompareOptions opts;
   opts.gate_memory = true;  // default max_mem_regression = 0.30 → 1400 > 1300
   Comparison cmp = Compare(base, cur, opts);
@@ -254,34 +250,33 @@ TEST(BenchCompareGateTest, MemoryGateFlagsGrowthBeyondAllowance) {
 }
 
 TEST(BenchCompareGateTest, MemoryGateWithinAllowancePasses) {
-  std::map<std::string, Record> base{
-      {"a", MakeMemRecord(1000, 1000, 1000, 1000)}};
-  std::map<std::string, Record> cur{
-      {"a", MakeMemRecord(1000, 1200, 1400, 1200)}};
+  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 1000, 1000)}};
+  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 1200, 1400)}};
   CompareOptions opts;
-  opts.gate_memory = true;  // +20% seg/msg < 30%; +40% RSS < 50%
+  opts.gate_memory = true;  // +20% segment bytes < 30%; +40% RSS < 50%
   Comparison cmp = Compare(base, cur, opts);
   EXPECT_EQ(cmp.mem_regressions, 0);
   EXPECT_TRUE(cmp.ok());
 }
 
 TEST(BenchCompareGateTest, RssGetsGenerousAllowance) {
-  // +40% RSS is noise (allocator slack, page cache); +40% msg bytes is not.
-  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 0, 1000, 1000)}};
-  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 0, 1400, 1400)}};
+  // +40% RSS is noise (allocator slack, page cache); +40% segment bytes is
+  // not.
+  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 1000, 1000)}};
+  std::map<std::string, Record> cur{{"a", MakeMemRecord(1000, 1400, 1400)}};
   CompareOptions opts;
   opts.gate_memory = true;
   Comparison cmp = Compare(base, cur, opts);
   EXPECT_EQ(cmp.mem_regressions, 1);
-  EXPECT_NE(cmp.report.find("peak_msg_bytes"), std::string::npos);
+  EXPECT_NE(cmp.report.find("peak_segment_bytes"), std::string::npos);
 }
 
 TEST(BenchCompareGateTest, MemoryGateSkipsOneSidedCounters) {
   // Counter present only on one side (old baseline, or a bench that stopped
   // reporting): nothing to compare, must not fail.
-  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 0, 0, 0)}};
+  std::map<std::string, Record> base{{"a", MakeMemRecord(1000, 0, 0)}};
   std::map<std::string, Record> cur{
-      {"a", MakeMemRecord(1000, 1 << 20, 1 << 20, 1 << 20)}};
+      {"a", MakeMemRecord(1000, 1 << 20, 1 << 20)}};
   CompareOptions opts;
   opts.gate_memory = true;
   EXPECT_EQ(Compare(base, cur, opts).mem_regressions, 0);

@@ -323,8 +323,7 @@ TEST(CompressedDifferentialTest, PageRankBitwise) {
   CsrGraph g = DanglingFreeRmat(9);
   CompressedCsrGraph c = CompressedCsrGraph::FromCsr(g).ValueOrDie();
   for (algo::PageRankMode mode :
-       {algo::PageRankMode::kPull, algo::PageRankMode::kPush,
-        algo::PageRankMode::kBlocked}) {
+       {algo::PageRankMode::kPull, algo::PageRankMode::kPush}) {
     for (uint32_t threads : kThreadCounts) {
       algo::PageRankOptions opts;
       opts.mode = mode;
@@ -381,41 +380,6 @@ TEST(CompressedDifferentialTest, ConnectedComponentsExact) {
           << "threads=" << threads << " frontier=" << frontier;
     }
   }
-}
-
-TEST(BlockedPageRankTest, BitwiseStableAcrossThreadsAndEqualToSerialPush) {
-  CsrGraph g = DanglingFreeRmat(9);
-  algo::PageRankOptions push1;
-  push1.mode = algo::PageRankMode::kPush;
-  push1.tolerance = 0.0;
-  push1.max_iterations = 15;
-  auto oracle = algo::PageRank(g, push1).ValueOrDie();
-  // Small bins force many destination blocks even on this small graph.
-  for (uint32_t bin_bits : {4u, 8u, 18u}) {
-    for (uint32_t threads : kThreadCounts) {
-      algo::PageRankOptions opts = push1;
-      opts.mode = algo::PageRankMode::kBlocked;
-      opts.blocked_bin_bits = bin_bits;
-      opts.num_threads = threads;
-      auto blocked = algo::PageRank(g, opts).ValueOrDie();
-      EXPECT_EQ(blocked.scores, oracle.scores)
-          << "bin_bits=" << bin_bits << " threads=" << threads;
-      EXPECT_EQ(blocked.mode, algo::PageRankMode::kBlocked);
-    }
-  }
-}
-
-TEST(BlockedPageRankTest, ConvergesToUnitMass) {
-  CsrGraph g = DanglingFreeRmat(8);
-  algo::PageRankOptions opts;
-  opts.mode = algo::PageRankMode::kBlocked;
-  opts.tolerance = 1e-10;
-  opts.max_iterations = 200;
-  auto r = algo::PageRank(g, opts).ValueOrDie();
-  EXPECT_TRUE(r.converged);
-  double sum = 0.0;
-  for (double s : r.scores) sum += s;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "gen/generators.h"
 #include "graph/ordering.h"
+#include "obs/metrics.h"
 #include "shard/shard_kernels.h"
 #include "shard/sharded_csr.h"
 
@@ -97,37 +98,6 @@ ShardedPageRankResult RunShardedPageRank(const ShardedCsr& s,
   opts.max_iterations = kMaxIters;
   opts.num_threads = threads;
   return ShardedPageRank(s, opts).ValueOrDie();
-}
-
-ShardedPageRankResult RunShardedPageRankMsg(const ShardedCsr& s,
-                                            uint32_t threads,
-                                            const MsgOptions& msg) {
-  ShardedPageRankOptions opts;
-  opts.tolerance = kTolerance;
-  opts.max_iterations = kMaxIters;
-  opts.num_threads = threads;
-  opts.msg = msg;
-  return ShardedPageRank(s, opts).ValueOrDie();
-}
-
-MsgOptions UncombinedMsg(uint64_t budget, const std::string& spill_dir,
-                         MsgStats* stats = nullptr) {
-  MsgOptions m;
-  m.strategy = MsgStrategy::kUncombined;
-  m.message_budget_bytes = budget;
-  m.spill_dir = spill_dir;
-  m.stats_out = stats;
-  return m;
-}
-
-std::vector<std::string> SpillFilesIn(const fs::path& dir) {
-  std::vector<std::string> out;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec), end;
-  for (; !ec && it != end; it.increment(ec)) {
-    if (it->path().extension() == ".spill") out.push_back(it->path().string());
-  }
-  return out;
 }
 
 void ExpectBitwiseEqual(const std::vector<double>& got,
@@ -230,80 +200,6 @@ TEST_P(ShardedMatrixTest, ComponentsMatchInRamLabels) {
     EXPECT_EQ(got.num_components, want.num_components);
     EXPECT_EQ(got.label, want.label);
   }
-}
-
-TEST_P(ShardedMatrixTest, UncombinedOracleBitwiseEqualsSerialPush) {
-  // The replay oracle (kUncombined, unlimited budget — PR 9's exact path)
-  // must keep matching serial push now that kDenseCombine is the default.
-  const CsrGraph& g = RmatGraph();
-  const algo::PageRankResult want = SerialPushPageRank(g);
-  auto s = ShardedCsr::Build(g, Options(ShardPartitioner::kContiguous))
-               .ValueOrDie();
-  MsgStats stats;
-  MsgOptions msg = UncombinedMsg(0, "", &stats);
-  const ShardedPageRankResult got =
-      RunShardedPageRankMsg(s, threads(), msg);
-  EXPECT_EQ(got.iterations, want.iterations);
-  ExpectBitwiseEqual(got.scores, want.scores);
-  // Unlimited budget: everything buffered, nothing spilled, nothing combined.
-  EXPECT_EQ(stats.spill_files, 0u);
-  EXPECT_GT(stats.peak_msg_bytes, 0u);
-  EXPECT_EQ(stats.combined_edges, 0u);
-}
-
-TEST_P(ShardedMatrixTest, ForcedSpillPageRankBitwiseEqualsSerialPush) {
-  // A budget far below one iteration's message traffic (12 B x 4096 edges)
-  // forces constant spilling; the result must not move by a single bit, the
-  // budget must hold, and no scratch may survive the run.
-  constexpr uint64_t kBudget = 1024;
-  const CsrGraph& g = RmatGraph();
-  const algo::PageRankResult want = SerialPushPageRank(g);
-  auto s = ShardedCsr::Build(g, Options(ShardPartitioner::kContiguous))
-               .ValueOrDie();
-  TempDir spill;
-  MsgStats stats;
-  const MsgOptions msg = UncombinedMsg(kBudget, spill.str(), &stats);
-  const ShardedPageRankResult got =
-      RunShardedPageRankMsg(s, threads(), msg);
-  EXPECT_EQ(got.iterations, want.iterations);
-  EXPECT_EQ(got.final_delta, want.final_delta);
-  ExpectBitwiseEqual(got.scores, want.scores);
-  EXPECT_GE(stats.spill_files, 1u);
-  EXPECT_GT(stats.spill_bytes, 0u);
-  EXPECT_GT(stats.peak_msg_bytes, 0u);
-  EXPECT_LE(stats.peak_msg_bytes, kBudget);
-  EXPECT_TRUE(SpillFilesIn(spill.path()).empty())
-      << "spill scratch leaked after a successful run";
-}
-
-TEST_P(ShardedMatrixTest, ForcedSpillTraversalsMatchInRam) {
-  constexpr uint64_t kBudget = 1024;
-  const CsrGraph& g = RmatGraph();
-  const std::vector<uint32_t> want_bfs = algo::BfsDistances(g, 0);
-  const algo::ComponentResult want_cc = algo::WeaklyConnectedComponents(g);
-  auto s = ShardedCsr::Build(g, Options(ShardPartitioner::kContiguous))
-               .ValueOrDie();
-  TempDir spill;
-
-  MsgStats bfs_stats;
-  ShardedTraversalOptions bopts;
-  bopts.num_threads = threads();
-  bopts.msg = UncombinedMsg(kBudget, spill.str(), &bfs_stats);
-  EXPECT_EQ(ShardedBfs(s, 0, bopts).ValueOrDie(), want_bfs);
-  EXPECT_LE(bfs_stats.peak_msg_bytes, kBudget);
-
-  MsgStats cc_stats;
-  ShardedTraversalOptions copts;
-  copts.num_threads = threads();
-  copts.msg = UncombinedMsg(kBudget, spill.str(), &cc_stats);
-  const algo::ComponentResult got_cc =
-      ShardedComponents(s, copts).ValueOrDie();
-  EXPECT_EQ(got_cc.num_components, want_cc.num_components);
-  EXPECT_EQ(got_cc.label, want_cc.label);
-  EXPECT_GE(cc_stats.spill_files, 1u);
-  EXPECT_LE(cc_stats.peak_msg_bytes, kBudget);
-
-  EXPECT_TRUE(SpillFilesIn(spill.path()).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -420,50 +316,48 @@ TEST(ShardedOutOfCoreTest, BudgetedCacheStaysPartialAndExact) {
             ShardedComponents(built).ValueOrDie().label);
 }
 
-TEST(ShardedOutOfCoreTest, MessageBudgetBoundsPeakMsgBytes) {
-  // True out-of-core run: mmap'ed segments under a cache budget AND message
-  // streams under a message budget. Dense combine buffers nothing at all;
-  // the spilling oracle must stay under its budget and leave no scratch in
-  // the shard directory (the default spill placement).
+// ---------------------------------------------------------------------------
+// Work counters: the arcs the kernels report are the arcs they decoded.
+// ---------------------------------------------------------------------------
+
+TEST(ShardedWorkCounterTest, ScanCountersCountEveryWorkerDecode) {
+  // Every worker that owns destinations decodes every segment, so the scan
+  // counters must grow with the worker count: rounds x E at 1 thread,
+  // 4 x rounds x E at 4 threads over 16 shards (4 per worker).
   const CsrGraph& g = RmatGraph();
   ShardOptions opts;
   opts.num_shards = 16;
-  auto built = ShardedCsr::Build(g, opts).ValueOrDie();
-  TempDir dir;
-  ASSERT_TRUE(built.WriteTo(dir.str()).ok());
+  auto s = ShardedCsr::Build(g, opts).ValueOrDie();
+  constexpr uint32_t kIters = 5;
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedPageRankOptions popts;
+    popts.tolerance = 0;
+    popts.max_iterations = kIters;
+    popts.num_threads = threads;
+    const int64_t streamed = obs::CounterValue("shard.pagerank.edges_streamed");
+    ASSERT_EQ(ShardedPageRank(s, popts).ValueOrDie().iterations, kIters);
+    EXPECT_EQ(obs::CounterValue("shard.pagerank.edges_streamed") - streamed,
+              static_cast<int64_t>(threads * kIters * g.num_edges()));
 
-  ShardOpenOptions oopts;
-  oopts.storage = SegmentStorage::kMapped;
-  oopts.budget_bytes = built.cache().total_bytes() / 3;
-  auto opened = ShardedCsr::Open(dir.str(), oopts).ValueOrDie();
-
-  MsgStats dense_stats;
-  MsgOptions dense_msg;
-  dense_msg.stats_out = &dense_stats;
-  const ShardedPageRankResult dense =
-      RunShardedPageRankMsg(opened, 1, dense_msg);
-  EXPECT_EQ(dense_stats.peak_msg_bytes, 0u);
-  EXPECT_EQ(dense_stats.spill_files, 0u);
-  EXPECT_GT(dense_stats.combined_edges, 0u);
-
-  constexpr uint64_t kBudget = 2048;
-  MsgStats spill_stats;
-  // Empty spill_dir: scratch defaults into the graph's own directory.
-  const MsgOptions spill_msg = UncombinedMsg(kBudget, "", &spill_stats);
-  const ShardedPageRankResult spilled =
-      RunShardedPageRankMsg(opened, 2, spill_msg);
-  ExpectBitwiseEqual(spilled.scores, dense.scores);
-  EXPECT_GE(spill_stats.spill_files, 1u);
-  EXPECT_LE(spill_stats.peak_msg_bytes, kBudget);
-  EXPECT_TRUE(SpillFilesIn(dir.path()).empty())
-      << "spill scratch leaked into the shard directory";
+    ShardedTraversalOptions topts;
+    topts.num_threads = threads;
+    const int64_t scanned = obs::CounterValue("shard.cc.edges_scanned");
+    const int64_t rounds = obs::CounterValue("shard.cc.rounds");
+    ASSERT_TRUE(ShardedComponents(s, topts).ok());
+    const int64_t ran = obs::CounterValue("shard.cc.rounds") - rounds;
+    ASSERT_GT(ran, 0);
+    EXPECT_EQ(obs::CounterValue("shard.cc.edges_scanned") - scanned,
+              static_cast<int64_t>(threads * g.num_edges()) * ran);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Spill scratch lifecycle: files must vanish on every exit path.
+// Kernel errors: a segment that fails verification mid-run surfaces as a
+// Status from every kernel, serial and parallel.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSpillCleanupTest, NoSpillFilesSurviveMidIterationError) {
+TEST(ShardedKernelErrorTest, CorruptLastSegmentFailsEveryKernel) {
   const CsrGraph& g = RmatGraph();
   ShardOptions opts;
   opts.num_shards = 16;
@@ -471,21 +365,10 @@ TEST(ShardedSpillCleanupTest, NoSpillFilesSurviveMidIterationError) {
   TempDir dir;
   ASSERT_TRUE(built.WriteTo(dir.str()).ok());
 
-  const MsgOptions msg = UncombinedMsg(/*budget=*/512, dir.str());
-  {
-    // Intact control run: proves this exact configuration spills well before
-    // the last shard is reached.
-    auto opened = ShardedCsr::Open(dir.str()).ValueOrDie();
-    MsgStats stats;
-    MsgOptions counted = msg;
-    counted.stats_out = &stats;
-    RunShardedPageRankMsg(opened, 1, counted);
-    ASSERT_GE(stats.spill_files, 1u);
-  }
-
-  // Flip one payload byte of the LAST segment: the header probe at Open
-  // passes, but the first load of that segment fails its checksum — an error
-  // raised mid-iteration, after the early shards already spilled.
+  // Flip the last payload byte of the LAST segment (the 4 bytes after it are
+  // the CRC): the header probe at Open passes, but the first load of that
+  // segment fails its checksum — an error raised after the earlier segments
+  // were already scanned.
   const fs::path victim = dir.path() / "segment_00015.ugsg";
   {
     std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
@@ -493,87 +376,31 @@ TEST(ShardedSpillCleanupTest, NoSpillFilesSurviveMidIterationError) {
     f.seekg(0, std::ios::end);
     const std::streamoff size = f.tellg();
     ASSERT_GT(size, 80);
-    f.seekg(size - 1);
+    f.seekg(size - 5);
     char byte = 0;
     f.read(&byte, 1);
     byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(size - 1);
+    f.seekp(size - 5);
     f.write(&byte, 1);
   }
 
-  ShardOpenOptions oopts;
-  oopts.storage = SegmentStorage::kMapped;
-  auto opened = ShardedCsr::Open(dir.str(), oopts);
-  if (opened.ok()) {
+  // Under the contiguous partitioner the last original id lives in the last
+  // shard, so BFS acquires the corrupt segment on its first level.
+  const VertexId source = g.num_vertices() - 1;
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardOpenOptions oopts;
+    oopts.storage = SegmentStorage::kMapped;
+    auto opened = ShardedCsr::Open(dir.str(), oopts);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
     ShardedPageRankOptions popts;
-    popts.tolerance = kTolerance;
-    popts.max_iterations = kMaxIters;
-    popts.num_threads = 1;
-    popts.msg = msg;
+    popts.num_threads = threads;
+    ShardedTraversalOptions topts;
+    topts.num_threads = threads;
     EXPECT_FALSE(ShardedPageRank(*opened, popts).ok());
+    EXPECT_FALSE(ShardedBfs(*opened, source, topts).ok());
+    EXPECT_FALSE(ShardedComponents(*opened, topts).ok());
   }
-  EXPECT_TRUE(SpillFilesIn(dir.path()).empty())
-      << "spill scratch survived a kernel error";
-}
-
-// ---------------------------------------------------------------------------
-// MsgStreams unit level: replay order, budget accounting, RAII cleanup.
-// ---------------------------------------------------------------------------
-
-TEST(MsgStreamsTest, SpillReplayPreservesAscendingWorkerEmissionOrder) {
-  TempDir dir;
-  std::vector<std::string> paths;
-  {
-    auto ms = MsgStreams<double>::Create(/*workers=*/2, /*shards=*/2,
-                                         /*budget_bytes=*/64, dir.str())
-                  .ValueOrDie();
-    // Emit through worker 1 FIRST: replay must still deliver worker 0's
-    // records first (ascending worker order), each worker's in emission
-    // order, spilled blocks before the in-RAM tail.
-    std::vector<std::pair<VertexId, double>> want[2];
-    for (VertexId i = 0; i < 100; ++i) {
-      ASSERT_TRUE(ms.Emit(1, i % 2, i, 0.5 * i).ok());
-    }
-    for (VertexId i = 0; i < 100; ++i) {
-      ASSERT_TRUE(ms.Emit(0, i % 2, 1000 + i, 0.25 * i).ok());
-    }
-    for (VertexId i = 0; i < 100; ++i) {
-      want[i % 2].emplace_back(1000 + i, 0.25 * i);  // worker 0 first
-    }
-    for (VertexId i = 0; i < 100; ++i) {
-      want[i % 2].emplace_back(i, 0.5 * i);
-    }
-    for (uint32_t t = 0; t < 2; ++t) {
-      std::vector<std::pair<VertexId, double>> got;
-      ASSERT_TRUE(ms.Replay(t, [&](VertexId dst, double val) {
-                      got.emplace_back(dst, val);
-                    }).ok());
-      EXPECT_EQ(got, want[t]) << "shard " << t;
-    }
-
-    const MsgStats stats = ms.stats();
-    EXPECT_EQ(stats.spill_files, 2u);
-    EXPECT_GT(stats.spill_bytes, 0u);
-    EXPECT_LE(stats.peak_msg_bytes, 64u);
-    paths = ms.spill_paths();
-    ASSERT_EQ(paths.size(), 2u);
-    for (const std::string& p : paths) EXPECT_TRUE(fs::exists(p));
-
-    // Reset truncates and forgets everything; the streams stay usable.
-    ASSERT_TRUE(ms.Reset().ok());
-    size_t replayed = 0;
-    ASSERT_TRUE(ms.Replay(0, [&](VertexId, double) { ++replayed; }).ok());
-    EXPECT_EQ(replayed, 0u);
-    ASSERT_TRUE(ms.Emit(0, 0, 7, 1.5).ok());
-  }
-  // Destruction unlinks the scratch.
-  for (const std::string& p : paths) EXPECT_FALSE(fs::exists(p));
-  EXPECT_TRUE(SpillFilesIn(dir.path()).empty());
-}
-
-TEST(MsgStreamsTest, BudgetWithoutSpillDirRejected) {
-  EXPECT_FALSE(MsgStreams<double>::Create(1, 1, 1024, "").ok());
-  EXPECT_FALSE(MsgStreams<double>::Create(0, 1, 0, "").ok());
 }
 
 // ---------------------------------------------------------------------------
