@@ -1,6 +1,6 @@
 // Centrality and coreness kernels (Table 9 "Ranking & Centrality Scores"):
 // exact and sampled Brandes betweenness, harmonic closeness, and k-core
-// decomposition, each swept over the ThreadPool worker count. Scale-12 cases
+// decomposition, each swept over num_threads. Scale-12 cases
 // feed ci/perf_smoke.sh.
 #include <benchmark/benchmark.h>
 

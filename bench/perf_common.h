@@ -179,12 +179,12 @@ class BenchJsonReporter : public benchmark::ConsoleReporter {
       s.real_ns = run.real_accumulated_time / iters * 1e9;
       auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) {
-        // google benchmark divides kIsRate counters by *CPU* time. Our
-        // multi-threaded kernels do their work on ThreadPool workers while
-        // the timed thread blocks in Wait(), so the CPU-time denominator is
-        // a small fraction of the wall time and the reported rate is
-        // inflated by real/cpu (observed 60-90x in BENCH.json). Scale back
-        // to items per real second, which is the physical throughput.
+        // google benchmark divides kIsRate counters by the *timed thread's*
+        // CPU time. In a multi-threaded kernel that thread runs its own
+        // share of each fork, then spins and finally parks until the rest
+        // of the team is done, so its CPU time is some unstable fraction of
+        // the wall time. Scaling by cpu/real turns the rate back into items
+        // per real second, the physical throughput, whatever that fraction.
         const double cpu_over_real =
             run.real_accumulated_time > 0.0
                 ? run.cpu_accumulated_time / run.real_accumulated_time

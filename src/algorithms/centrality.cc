@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -99,7 +98,7 @@ struct BrandesPartial {
   uint64_t edges_scanned = 0;
 };
 
-/// Accumulates Brandes contributions from `sources`, batched over the pool.
+/// Accumulates Brandes contributions from `sources`, batched over threads.
 /// Chunking and the combine tree depend only on the source count, so the
 /// result is bitwise-identical at every thread count.
 template <NeighborRangeGraph G>
@@ -123,16 +122,9 @@ std::vector<double> AccumulateBrandes(const G& g,
     a.edges_scanned += b.edges_scanned;
     return a;
   };
-  const uint64_t grain = SourceGrain(sources.size());
-  BrandesPartial total;
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    total = ParallelReduce(pool, 0, sources.size(), BrandesPartial{}, map,
-                           combine, grain);
-  } else {
-    total = SerialChunkReduce(0, sources.size(), BrandesPartial{}, map, combine,
-                              grain);
-  }
+  BrandesPartial total =
+      ParallelReduce(threads, 0, sources.size(), BrandesPartial{}, map, combine,
+                     SourceGrain(sources.size()));
   *edges_scanned += total.edges_scanned;
   return std::move(total.acc);
 }
@@ -214,8 +206,8 @@ void ScratchBfs(const G& g, VertexId source, BfsScratch* s) {
   }
 }
 
-/// Both closeness variants: one BFS per vertex, vertices batched over the
-/// pool. Each score is produced by an entirely per-vertex computation (the
+/// Both closeness variants: one BFS per vertex, vertices batched over
+/// threads. Each score is produced by an entirely per-vertex computation (the
 /// ascending-id reduction over distances matches the serial original), so
 /// parallel results are bitwise-equal to serial trivially.
 template <NeighborRangeGraph G, typename ScoreFn>
@@ -233,13 +225,8 @@ std::vector<double> PerVertexBfsScores(const G& g, unsigned threads,
       out[v] = score(static_cast<VertexId>(v), scratch.dist);
     }
   };
-  if (threads > 1 && n > 0) {
-    ThreadPool pool(threads);
-    // Dynamic chunks: BFS cost varies wildly with the component size.
-    ParallelForChunks(pool, 0, n, run_range, Schedule::kDynamic, 64);
-  } else {
-    run_range(0, n);
-  }
+  // Dynamic chunks: BFS cost varies wildly with the component size.
+  ParallelForChunks(threads, 0, n, run_range, Schedule::kDynamic, 64);
   if (obs::Enabled()) {
     obs::AddCounter("centrality.closeness.runs", 1);
     obs::AddCounter("centrality.closeness.sources", static_cast<int64_t>(n));

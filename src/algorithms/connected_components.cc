@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
-#include <optional>
 
 #include "common/parallel.h"
 #include "graph/compressed_csr.h"
@@ -137,9 +136,7 @@ Result<ComponentResult> ConnectedComponentsLabelPropImpl(
   uint64_t activations = 0;
 
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads);
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
+  const bool parallel = threads > 1;
   auto any = [](bool a, bool b) { return a || b; };
 
   if (!options.use_frontier) {
@@ -164,7 +161,7 @@ Result<ComponentResult> ConnectedComponentsLabelPropImpl(
       ++rounds;
       activations += n;
       bool changed =
-          pool == nullptr ? round(0, n) : ParallelReduce(*pool, 0, n, false, round, any);
+          parallel ? ParallelReduce(threads, 0, n, false, round, any) : round(0, n);
       cur.swap(next);
       if (!changed) break;
     }
@@ -197,7 +194,7 @@ Result<ComponentResult> ConnectedComponentsLabelPropImpl(
         next[v] = best;
         if (best != cur[v]) {
           any_changed = true;
-          if (pool != nullptr) {
+          if (parallel) {
             changed.AtomicTestAndSet(v);
           } else {
             changed.Set(v);
@@ -211,7 +208,7 @@ Result<ComponentResult> ConnectedComponentsLabelPropImpl(
       activations += active.size();
       changed.ClearDense();
       bool any_changed =
-          pool == nullptr ? round(0, n) : ParallelReduce(*pool, 0, n, false, round, any);
+          parallel ? ParallelReduce(threads, 0, n, false, round, any) : round(0, n);
       cur.swap(next);
       if (!any_changed) break;
       changed.RecountDense();

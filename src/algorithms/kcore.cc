@@ -106,7 +106,6 @@ std::vector<uint32_t> BucketedCoreDecomposition(
   BucketStructure buckets(uint64_t{max_degree} + 1);
   for (VertexId v = 0; v < n; ++v) buckets.Insert(deg[v], v);
 
-  ThreadPool pool(threads);
   std::vector<uint8_t> peeled(n, 0);
   std::vector<VertexId> popped, frontier;
   uint64_t decrements = 0, wasted = 0, subrounds = 0;
@@ -135,7 +134,7 @@ std::vector<uint32_t> BucketedCoreDecomposition(
       std::vector<std::vector<BucketItem>> buffers(chunks);
       std::vector<uint64_t> tallies(chunks, 0);
       ParallelFor(
-          pool, 0, chunks,
+          threads, 0, chunks,
           [&](uint64_t c) {
             const uint64_t b = c * kPeelGrain;
             const uint64_t e = std::min<uint64_t>(b + kPeelGrain, frontier.size());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "common/parallel.h"
@@ -79,16 +78,14 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
   PageRankResult result;
   result.mode = mode;
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads);
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
+  const bool parallel = threads > 1;
   auto plus = [](double a, double b) { return a + b; };
 
   // Dangling mass (vertices with no out-edges) redistributed by the teleport
   // vector; shared by every mode. The parallel sum is a deterministic
   // chunked tree.
   auto dangling_mass = [&]() {
-    if (pool == nullptr) {
+    if (!parallel) {
       double sum = 0.0;
       for (VertexId v = 0; v < n; ++v) {
         if (g.OutDegree(v) == 0) sum += rank[v];
@@ -96,7 +93,7 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
       return sum;
     }
     return ParallelReduce(
-        *pool, 0, n, 0.0,
+        threads, 0, n, 0.0,
         [&](uint64_t b, uint64_t e) {
           double sum = 0.0;
           for (uint64_t v = b; v < e; ++v) {
@@ -107,12 +104,8 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
         plus);
   };
   auto build_wrank = [&]() {
-    if (pool == nullptr) {
-      for (VertexId v = 0; v < n; ++v) wrank[v] = rank[v] * inv_outdeg[v];
-    } else {
-      ParallelFor(*pool, 0, n,
-                  [&](uint64_t v) { wrank[v] = rank[v] * inv_outdeg[v]; });
-    }
+    ParallelFor(threads, 0, n,
+                [&](uint64_t v) { wrank[v] = rank[v] * inv_outdeg[v]; });
   };
   auto finish_iteration = [&](uint32_t iter, double delta) {
     rank.swap(next);
@@ -128,12 +121,12 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
       const double dangling = dangling_mass();
       build_wrank();
       double delta;
-      if (pool == nullptr) {
+      if (!parallel) {
         delta = 0.0;
         for (VertexId v = 0; v < n; ++v) delta += relax(v, dangling);
       } else {
         delta = ParallelReduce(
-            *pool, 0, n, 0.0,
+            threads, 0, n, 0.0,
             [&](uint64_t b, uint64_t e) {
               double sum = 0.0;
               for (uint64_t v = b; v < e; ++v) {
@@ -151,17 +144,13 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
     // next[]. Parallel: each worker scatters its contiguous source range
     // into a private accumulator; accumulators merge in ascending worker
     // order, keeping scores deterministic at a fixed thread count.
-    const unsigned workers = pool == nullptr ? 1 : pool->size();
     std::vector<std::vector<double>> acc;
-    if (pool != nullptr) {
-      acc.resize(workers);
-      for (auto& a : acc) a.resize(n, 0.0);
-    }
-    const uint64_t per = (static_cast<uint64_t>(n) + workers - 1) / workers;
+    if (parallel) acc.assign(threads, std::vector<double>(n, 0.0));
+    const uint64_t per = (static_cast<uint64_t>(n) + threads - 1) / threads;
     for (uint32_t iter = 0; iter < options.max_iterations; ++iter) {
       const double dangling = dangling_mass();
       double delta;
-      if (pool == nullptr) {
+      if (!parallel) {
         for (VertexId v = 0; v < n; ++v) {
           next[v] = (1.0 - d) * teleport(v) + d * dangling * teleport(v);
         }
@@ -173,30 +162,27 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
         delta = 0.0;
         for (VertexId v = 0; v < n; ++v) delta += std::abs(next[v] - rank[v]);
       } else {
-        for (unsigned w = 0; w < workers; ++w) {
-          pool->Submit([&, w] {
-            auto& a = acc[w];
-            std::fill(a.begin(), a.end(), 0.0);
-            const uint64_t lo = std::min<uint64_t>(w * per, n);
-            const uint64_t hi = std::min<uint64_t>(lo + per, n);
-            for (uint64_t u = lo; u < hi; ++u) {
-              if (inv_outdeg[u] == 0.0) continue;
-              const double contrib = d * rank[u] * inv_outdeg[u];
-              for (VertexId v : g.OutNeighbors(static_cast<VertexId>(u))) {
-                a[v] += contrib;
-              }
+        ForkJoin(threads, [&](unsigned w) {
+          auto& a = acc[w];
+          std::fill(a.begin(), a.end(), 0.0);
+          const uint64_t lo = std::min<uint64_t>(w * per, n);
+          const uint64_t hi = std::min<uint64_t>(lo + per, n);
+          for (uint64_t u = lo; u < hi; ++u) {
+            if (inv_outdeg[u] == 0.0) continue;
+            const double contrib = d * rank[u] * inv_outdeg[u];
+            for (VertexId v : g.OutNeighbors(static_cast<VertexId>(u))) {
+              a[v] += contrib;
             }
-          });
-        }
-        pool->Wait();
+          }
+        });
         delta = ParallelReduce(
-            *pool, 0, n, 0.0,
+            threads, 0, n, 0.0,
             [&](uint64_t b, uint64_t e) {
               double sum = 0.0;
               for (uint64_t i = b; i < e; ++i) {
                 VertexId v = static_cast<VertexId>(i);
                 double nv = (1.0 - d) * teleport(v) + d * dangling * teleport(v);
-                for (unsigned w = 0; w < workers; ++w) nv += acc[w][v];
+                for (unsigned w = 0; w < threads; ++w) nv += acc[w][v];
                 next[v] = nv;
                 sum += std::abs(nv - rank[v]);
               }
@@ -258,7 +244,7 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
             // must not re-activate the whole graph every round. Any error
             // this hides is caught by the full certification sweep below.
             if (std::abs(nv - rank[v]) > thr) {
-              if (pool != nullptr) {
+              if (parallel) {
                 changed.AtomicTestAndSet(v);
               } else {
                 changed.Set(v);
@@ -273,11 +259,11 @@ Result<PageRankResult> PageRankImpl(const G& g, PageRankOptions options) {
         return p;
       };
       Partial total;
-      if (pool == nullptr) {
+      if (!parallel) {
         total = sweep(0, n);
       } else {
         total = ParallelReduce(
-            *pool, 0, n, Partial{0.0, 0},
+            threads, 0, n, Partial{0.0, 0},
             sweep,
             [](Partial a, Partial b) {
               return Partial{a.first + b.first, a.second + b.second};

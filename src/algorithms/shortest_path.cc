@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <deque>
-#include <optional>
 #include <queue>
 #include <span>
 
@@ -155,8 +154,8 @@ struct SsspTally {
 /// only cross-thread state during a relax phase: writes go through a
 /// CAS-min on std::atomic_ref<double> and reads are relaxed atomic loads
 /// ("relaxed-write"); a popped entry whose vertex has left the bucket is
-/// discarded by the serial recheck between phases. The serial path (no pool)
-/// runs the identical chunk decomposition with plain loads/stores.
+/// discarded by the serial recheck between phases. The serial path (one
+/// thread) runs the identical chunk decomposition with plain loads/stores.
 template <WeightedNeighborRangeGraph G>
 Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
                                              const SsspOptions& options) {
@@ -185,8 +184,6 @@ Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
   Timer timer;
 
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
 
   ShortestPathTree t;
   t.distance.assign(n, kInfDistance);
@@ -214,12 +211,14 @@ Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
   auto relax = [&](std::span<const VertexId> front, bool light) {
     if (front.empty()) return;
     const uint64_t chunks = NumChunks(0, front.size(), kSsspGrain);
+    // A single chunk runs on the caller alone (the fork width is capped at
+    // the chunk count), so it needs no atomics.
+    const bool concurrent = threads > 1 && chunks > 1;
     std::vector<std::vector<BucketItem>> buffers(chunks);
     std::vector<SsspTally> tallies(chunks);
     auto run_chunk = [&](uint64_t c) {
       const uint64_t b = c * kSsspGrain;
       const uint64_t e = std::min<uint64_t>(b + kSsspGrain, front.size());
-      const bool concurrent = pool.has_value();
       auto& buf = buffers[c];
       auto& tl = tallies[c];
       for (uint64_t idx = b; idx < e; ++idx) {
@@ -254,11 +253,7 @@ Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
         }
       }
     };
-    if (pool.has_value()) {
-      ParallelFor(*pool, 0, chunks, run_chunk, Schedule::kDynamic, 1);
-    } else {
-      for (uint64_t c = 0; c < chunks; ++c) run_chunk(c);
-    }
+    ParallelFor(threads, 0, chunks, run_chunk, Schedule::kDynamic, 1);
     for (uint64_t c = 0; c < chunks; ++c) {
       buckets.InsertBatch(buffers[c]);
       tally.relaxations += tallies[c].relaxations;
@@ -300,7 +295,7 @@ Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
     for (size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId v = nbrs[i];
       if (v == source || ws[i] <= 0 || du + ws[i] != dist[v]) continue;
-      if (pool.has_value()) {
+      if (threads > 1) {
         std::atomic_ref<VertexId> pv(t.parent[v]);
         VertexId cur = pv.load(std::memory_order_relaxed);
         while (u < cur &&
@@ -311,12 +306,8 @@ Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
       }
     }
   };
-  if (pool.has_value()) {
-    ParallelFor(*pool, 0, n, [&](uint64_t u) { assign_strict(VertexId(u)); },
-                Schedule::kDynamic);
-  } else {
-    for (VertexId u = 0; u < n; ++u) assign_strict(u);
-  }
+  ParallelFor(threads, 0, n, [&](uint64_t u) { assign_strict(VertexId(u)); },
+              Schedule::kDynamic);
   // Vertices tied only through zero-weight edges get parents from a
   // deterministic BFS over the tie edges, seeded at already-anchored
   // vertices in ascending id order (no random weight distribution produces

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <deque>
-#include <optional>
 #include <utility>
 
 #include "common/parallel.h"
@@ -71,49 +70,6 @@ std::vector<uint32_t> SerialBfs(const G& g,
   return dist;
 }
 
-/// Level-synchronous BFS: each round expands the whole frontier in parallel,
-/// claiming vertices with a CAS on the distance array. Depths are unique, so
-/// the result is identical to SerialBfs regardless of thread interleaving.
-template <NeighborRangeGraph G>
-std::vector<uint32_t> ParallelBfs(const G& g,
-                                  std::span<const VertexId> sources,
-                                  unsigned threads) {
-  std::vector<uint32_t> dist(g.num_vertices(), kUnreachable);
-  std::vector<VertexId> frontier;
-  for (VertexId s : sources) {
-    if (s < g.num_vertices() && dist[s] == kUnreachable) {
-      dist[s] = 0;
-      frontier.push_back(s);
-    }
-  }
-  ThreadPool pool(threads);
-  uint32_t depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    frontier = ParallelReduce(
-        pool, 0, frontier.size(), std::vector<VertexId>{},
-        [&](uint64_t b, uint64_t e) {
-          std::vector<VertexId> local;
-          for (uint64_t i = b; i < e; ++i) {
-            for (VertexId v : g.OutNeighbors(frontier[i])) {
-              uint32_t expected = kUnreachable;
-              if (std::atomic_ref<uint32_t>(dist[v]).compare_exchange_strong(
-                      expected, depth, std::memory_order_relaxed)) {
-                local.push_back(v);
-              }
-            }
-          }
-          return local;
-        },
-        [](std::vector<VertexId> a, std::vector<VertexId> b) {
-          a.insert(a.end(), b.begin(), b.end());
-          return a;
-        },
-        /*grain=*/256);
-  }
-  return dist;
-}
-
 /// One hybrid-BFS round's bookkeeping, flushed to obs at end of run.
 struct RoundStat {
   bool pull = false;
@@ -121,17 +77,31 @@ struct RoundStat {
   uint64_t edges_scanned = 0;
 };
 
-/// The direction-optimizing engine. `pool == nullptr` is the exact-serial
-/// path: the same round bodies run inline over the full range, with plain
+/// A finished engine run: the distances plus the per-round bookkeeping that
+/// HybridBfs (not BfsDistances) flushes as bfs.hybrid.*.
+struct EngineRun {
+  std::vector<uint32_t> dist;
+  std::vector<RoundStat> rounds;
+  uint64_t switches = 0;
+};
+
+/// Push rounds whose frontier has fewer out-edges than this run serially even
+/// on the parallel path: a fork costs more than a few thousand edge visits,
+/// and on high-diameter graphs (road networks) every round is that small.
+constexpr uint64_t kSerialPushEdges = uint64_t{1} << 14;
+
+/// The direction-optimizing engine. `threads <= 1` is the exact-serial path:
+/// the same round bodies run inline over the full range, with plain
 /// (non-atomic) claims. Distances are unique per vertex, so every mode and
 /// thread count produces a bitwise-identical array.
 template <NeighborRangeGraph G>
-std::vector<uint32_t> HybridBfsEngine(const G& g,
-                                      std::span<const VertexId> sources,
-                                      const HybridBfsOptions& opt,
-                                      ThreadPool* pool) {
+EngineRun HybridBfsEngine(const G& g, std::span<const VertexId> sources,
+                          const HybridBfsOptions& opt, unsigned threads) {
   const VertexId n = g.num_vertices();
-  std::vector<uint32_t> dist(n, kUnreachable);
+  const bool parallel = threads > 1;
+  EngineRun run;
+  std::vector<uint32_t>& dist = run.dist;
+  dist.assign(n, kUnreachable);
   Frontier cur(n), next(n);
   uint64_t frontier_edges = 0;
   for (VertexId s : sources) {
@@ -151,8 +121,6 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
       static_cast<uint64_t>(static_cast<double>(n) / opt.beta);
 
   bool pull = opt.direction == TraversalDirection::kPull;
-  uint64_t switches = 0;
-  std::vector<RoundStat> rounds;
   uint32_t depth = 0;
 
   while (!cur.empty()) {
@@ -160,10 +128,10 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
     if (opt.direction == TraversalDirection::kAuto) {
       if (!pull && frontier_edges > pull_edges) {
         pull = true;
-        ++switches;
+        ++run.switches;
       } else if (pull && cur.size() < push_vertices) {
         pull = false;
-        ++switches;
+        ++run.switches;
       }
     }
     RoundStat stat;
@@ -184,7 +152,7 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
             ++p[1];
             if (cur.Test(u)) {
               dist[v] = depth;
-              if (pool != nullptr) {
+              if (parallel) {
                 next.AtomicTestAndSet(v);
               } else {
                 next.Set(v);
@@ -198,11 +166,11 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
         return p;
       };
       Partial total;
-      if (pool == nullptr) {
+      if (!parallel) {
         total = round(0, n);
       } else {
         total = ParallelReduce(
-            *pool, 0, n, Partial{0, 0, 0}, round,
+            threads, 0, n, Partial{0, 0, 0}, round,
             [](Partial a, Partial b) {
               return Partial{a[0] + b[0], a[1] + b[1], a[2] + b[2]};
             });
@@ -220,7 +188,7 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
         uint64_t next_edges = 0;
       };
       Partial total;
-      if (pool == nullptr) {
+      if (!parallel || frontier_edges < kSerialPushEdges) {
         for (VertexId u : verts) {
           for (VertexId v : g.OutNeighbors(u)) {
             ++total.scanned;
@@ -233,7 +201,7 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
         }
       } else {
         total = ParallelReduce(
-            *pool, 0, verts.size(), Partial{},
+            threads, 0, verts.size(), Partial{},
             [&](uint64_t b, uint64_t e) {
               Partial p;
               for (uint64_t i = b; i < e; ++i) {
@@ -263,25 +231,26 @@ std::vector<uint32_t> HybridBfsEngine(const G& g,
       next.AdoptList(std::move(total.found));
     }
     std::swap(cur, next);
-    rounds.push_back(stat);
+    run.rounds.push_back(stat);
   }
+  return run;
+}
 
-  if (obs::Enabled()) {
-    uint64_t push_rounds = 0, pull_rounds = 0, edges = 0;
-    obs::LatencyHistogram* round_edges =
-        obs::MetricsRegistry::Global().GetHistogram("bfs.hybrid.round_edges");
-    for (const RoundStat& r : rounds) {
-      (r.pull ? pull_rounds : push_rounds) += 1;
-      edges += r.edges_scanned;
-      round_edges->Record(static_cast<int64_t>(r.edges_scanned));
-    }
-    obs::AddCounter("bfs.hybrid.runs", 1);
-    obs::AddCounter("bfs.hybrid.push_rounds", static_cast<int64_t>(push_rounds));
-    obs::AddCounter("bfs.hybrid.pull_rounds", static_cast<int64_t>(pull_rounds));
-    obs::AddCounter("bfs.hybrid.switches", static_cast<int64_t>(switches));
-    obs::AddCounter("bfs.hybrid.edges_scanned", static_cast<int64_t>(edges));
+void FlushHybridStats(const EngineRun& run) {
+  if (!obs::Enabled()) return;
+  uint64_t push_rounds = 0, pull_rounds = 0, edges = 0;
+  obs::LatencyHistogram* round_edges =
+      obs::MetricsRegistry::Global().GetHistogram("bfs.hybrid.round_edges");
+  for (const RoundStat& r : run.rounds) {
+    (r.pull ? pull_rounds : push_rounds) += 1;
+    edges += r.edges_scanned;
+    round_edges->Record(static_cast<int64_t>(r.edges_scanned));
   }
-  return dist;
+  obs::AddCounter("bfs.hybrid.runs", 1);
+  obs::AddCounter("bfs.hybrid.push_rounds", static_cast<int64_t>(push_rounds));
+  obs::AddCounter("bfs.hybrid.pull_rounds", static_cast<int64_t>(pull_rounds));
+  obs::AddCounter("bfs.hybrid.switches", static_cast<int64_t>(run.switches));
+  obs::AddCounter("bfs.hybrid.edges_scanned", static_cast<int64_t>(edges));
 }
 
 template <NeighborRangeGraph G>
@@ -294,20 +263,28 @@ Result<std::vector<uint32_t>> HybridMultiSourceBfsImpl(
     return Status::Invalid("HybridBfs alpha/beta must be positive");
   }
   obs::ScopedTrace span("HybridBfs");
-  const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  return HybridBfsEngine(g, sources, options, pool ? &*pool : nullptr);
+  EngineRun run = HybridBfsEngine(g, sources, options,
+                                  ResolveNumThreads(options.num_threads));
+  FlushHybridStats(run);
+  return std::move(run.dist);
 }
 
+/// The plain BFS entry points: the seed queue BFS at one thread, the hybrid
+/// engine's push direction (no in-edges needed) on more.
 template <NeighborRangeGraph G>
 std::vector<uint32_t> MultiSourceBfsImpl(const G& g,
                                          std::span<const VertexId> sources,
                                          BfsOptions options) {
   obs::ScopedTrace span("MultiSourceBfs");
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::vector<uint32_t> dist =
-      threads <= 1 ? SerialBfs(g, sources) : ParallelBfs(g, sources, threads);
+  std::vector<uint32_t> dist;
+  if (threads <= 1) {
+    dist = SerialBfs(g, sources);
+  } else {
+    HybridBfsOptions push;
+    push.direction = TraversalDirection::kPush;
+    dist = HybridBfsEngine(g, sources, push, threads).dist;
+  }
   FlushBfsStats(g, dist);
   return dist;
 }

@@ -20,8 +20,8 @@ inline constexpr uint32_t kUnreachable = UINT32_MAX;
 
 struct BfsOptions {
   /// 0 = hardware_concurrency, 1 = exact serial path (default), >= 2 = that
-  /// many workers running level-synchronous BFS. Distances are identical to
-  /// the serial traversal at any thread count (BFS depths are unique).
+  /// many workers running HybridBfs's push direction. Distances are identical
+  /// to the serial traversal at any thread count (BFS depths are unique).
   uint32_t num_threads = 1;
 };
 

@@ -87,10 +87,9 @@ uint64_t CountTriangles(const CsrGraph& g, TriangleCountOptions options) {
     build_fwd(0, n);
     triangles = count_range(0, n);
   } else {
-    ThreadPool pool(threads);
     // Dynamic scheduling: power-law degree skew makes static blocks lopsided.
-    ParallelForChunks(pool, 0, n, build_fwd, Schedule::kDynamic, /*grain=*/512);
-    triangles = ParallelReduce(pool, 0, n, uint64_t{0}, count_range,
+    ParallelForChunks(threads, 0, n, build_fwd, Schedule::kDynamic, /*grain=*/512);
+    triangles = ParallelReduce(threads, 0, n, uint64_t{0}, count_range,
                                [](uint64_t a, uint64_t b) { return a + b; },
                                /*grain=*/512);
   }

@@ -1,39 +1,41 @@
 // Shared-memory parallel runtime: the substrate for the "software that can
 // process larger graphs" challenge (§6.1, the survey's #1 reported problem).
-// Provides a fixed-size ThreadPool, ParallelFor with static and dynamic
-// chunked scheduling over vertex/edge ranges, and a deterministic tree
-// ParallelReduce whose floating-point result is bitwise-identical at any
-// thread count (chunk boundaries depend only on the grain, and partials are
-// combined in a fixed binary-tree order).
+// One process-wide fork-join team runs every parallel loop: ParallelFor with
+// static and dynamic chunked scheduling over vertex/edge ranges, ForkJoin for
+// per-worker loops, and a deterministic tree ParallelReduce whose
+// floating-point result is bitwise-identical at any thread count (chunk
+// boundaries depend only on the grain, and partials are combined in a fixed
+// binary-tree order).
 //
 // Convention used by every kernel option struct in src/algorithms:
 //   num_threads == 0  -> std::thread::hardware_concurrency()
 //   num_threads == 1  -> the exact serial code path (the default)
-//   num_threads >= 2  -> the parallel path on that many workers
+//   num_threads >= 2  -> the parallel path, decomposed for that many workers
+//
+// Every entry point below takes that resolved count as `workers`. It decides
+// the decomposition (kStatic blocks, ForkJoin slots) and caps the fork width;
+// the team (TeamSize() threads, the caller included) decides only which
+// thread runs which piece. So workers = 8 on a 4-core host runs eight slots
+// on four threads and returns what eight cores would.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
 namespace ubigraph {
 
-namespace obs {
-class Counter;
-class Gauge;
-}  // namespace obs
-
 /// Resolves a user-facing `num_threads` option: 0 means hardware concurrency
 /// (at least 1), anything else is used as-is.
 unsigned ResolveNumThreads(unsigned requested);
+
+/// Threads in the process-wide fork-join team: hardware concurrency (at least
+/// 1), counting the calling thread, which always takes part in its own fork.
+/// The team's hardware_concurrency() - 1 workers start on the first fork
+/// that needs them, spin briefly after each job, then park until the next.
+unsigned TeamSize();
 
 /// How ParallelFor distributes a range over workers.
 enum class Schedule : uint8_t {
@@ -48,48 +50,36 @@ enum class Schedule : uint8_t {
 /// Default indices per dynamically-scheduled chunk and per reduce chunk.
 inline constexpr uint64_t kDefaultGrain = 1024;
 
-/// Fixed-size worker pool. Tasks are arbitrary callables; the first
-/// exception thrown by any task is captured and rethrown from Wait().
-/// Destruction drains all queued tasks, then joins the workers.
-class ThreadPool {
- public:
-  explicit ThreadPool(unsigned num_threads);
-  ~ThreadPool();
+namespace internal {
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+using TaskFn = void (*)(void* ctx, uint64_t task);
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+/// The one fork-join primitive: runs fn(ctx, t) for every t in [0, tasks),
+/// claimed from a shared counter by min(workers, tasks, TeamSize()) threads,
+/// and returns when all are done, rethrowing the first exception a task
+/// threw (no task starts after it). workers <= 1 is the serial path: a plain
+/// loop on the caller. A fork that finds the team busy — a nested call from
+/// inside a task, or a second application thread — runs its tasks inline on
+/// the caller, in order, with identical results.
+void RunTasks(unsigned workers, uint64_t tasks, TaskFn fn, void* ctx);
 
-  /// Enqueues a task for execution on some worker.
-  void Submit(std::function<void()> task);
+template <typename Fn>
+void RunTasks(unsigned workers, uint64_t tasks, Fn& fn) {
+  RunTasks(
+      workers, tasks,
+      [](void* ctx, uint64_t t) { (*static_cast<Fn*>(ctx))(t); }, &fn);
+}
 
-  /// Blocks until every submitted task has finished, then rethrows the first
-  /// exception any task raised (clearing it, so the pool stays usable).
-  void Wait();
+}  // namespace internal
 
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: queue non-empty or stopping
-  std::condition_variable done_cv_;  // Wait(): pending_ reached zero
-  std::deque<std::function<void()>> queue_;
-  uint64_t pending_ = 0;  // queued + currently running tasks
-  bool stop_ = false;
-  std::exception_ptr first_error_;
-  std::vector<std::thread> workers_;
-
-  // Observability handles (global registry; see src/obs/metrics.h). Cached
-  // at construction so the per-task hot path is a relaxed shard add; the
-  // pool.busy_ns counter's per-thread shards are the per-worker busy-time
-  // breakdown exported by StatsSnapshot. All recording is skipped while the
-  // registry is disabled.
-  obs::Counter* tasks_submitted_ = nullptr;
-  obs::Counter* tasks_completed_ = nullptr;
-  obs::Counter* busy_ns_ = nullptr;
-  obs::Gauge* queue_depth_max_ = nullptr;
-};
+/// Runs fn(slot) once for every slot in [0, max(workers, 1)): the per-worker
+/// loop (private accumulators, owned shard blocks). State keyed on the slot
+/// keeps results a function of `workers` alone.
+template <typename Fn>
+void ForkJoin(unsigned workers, Fn fn) {
+  auto task = [&fn](uint64_t slot) { fn(static_cast<unsigned>(slot)); };
+  internal::RunTasks(workers, std::max(workers, 1u), task);
+}
 
 /// Number of grain-sized chunks covering [begin, end).
 inline uint64_t NumChunks(uint64_t begin, uint64_t end, uint64_t grain) {
@@ -98,47 +88,40 @@ inline uint64_t NumChunks(uint64_t begin, uint64_t end, uint64_t grain) {
 }
 
 /// Runs fn(chunk_begin, chunk_end) over disjoint chunks that exactly cover
-/// [begin, end). kStatic issues one contiguous block per worker; kDynamic
-/// issues grain-sized chunks from a shared counter. Blocks until done;
-/// rethrows the first task exception.
+/// [begin, end). kStatic cuts one contiguous block per worker; kDynamic cuts
+/// grain-sized chunks. Either way no more threads join than there are
+/// chunks, so a single-chunk loop runs on the caller alone.
 template <typename Fn>
-void ParallelForChunks(ThreadPool& pool, uint64_t begin, uint64_t end, Fn fn,
+void ParallelForChunks(unsigned workers, uint64_t begin, uint64_t end, Fn fn,
                        Schedule schedule = Schedule::kStatic,
                        uint64_t grain = kDefaultGrain) {
   if (end <= begin) return;
-  const uint64_t n = end - begin;
-  const unsigned workers = pool.size() == 0 ? 1 : pool.size();
   if (schedule == Schedule::kStatic) {
-    const uint64_t per = n / workers, extra = n % workers;
-    uint64_t b = begin;
-    for (unsigned w = 0; w < workers && b < end; ++w) {
-      uint64_t e = b + per + (w < extra ? 1 : 0);
-      pool.Submit([fn, b, e] { fn(b, e); });
-      b = e;
-    }
+    const uint64_t n = end - begin;
+    const uint64_t blocks = std::min<uint64_t>(std::max(workers, 1u), n);
+    const uint64_t per = n / blocks, extra = n % blocks;
+    auto task = [&](uint64_t w) {
+      const uint64_t b = begin + w * per + std::min(w, extra);
+      fn(b, b + per + (w < extra ? 1 : 0));
+    };
+    internal::RunTasks(workers, blocks, task);
   } else {
-    auto next = std::make_shared<std::atomic<uint64_t>>(begin);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.Submit([fn, next, end, grain] {
-        for (;;) {
-          uint64_t b = next->fetch_add(grain, std::memory_order_relaxed);
-          if (b >= end) return;
-          fn(b, std::min(b + grain, end));
-        }
-      });
-    }
+    auto task = [&](uint64_t c) {
+      const uint64_t b = begin + c * grain;
+      fn(b, std::min(b + grain, end));
+    };
+    internal::RunTasks(workers, NumChunks(begin, end, grain), task);
   }
-  pool.Wait();
 }
 
 /// Runs fn(i) for every i in [begin, end), scheduled per ParallelForChunks.
 template <typename Fn>
-void ParallelFor(ThreadPool& pool, uint64_t begin, uint64_t end, Fn fn,
+void ParallelFor(unsigned workers, uint64_t begin, uint64_t end, Fn fn,
                  Schedule schedule = Schedule::kStatic,
                  uint64_t grain = kDefaultGrain) {
   ParallelForChunks(
-      pool, begin, end,
-      [fn](uint64_t b, uint64_t e) {
+      workers, begin, end,
+      [&fn](uint64_t b, uint64_t e) {
         for (uint64_t i = b; i < e; ++i) fn(i);
       },
       schedule, grain);
@@ -148,58 +131,27 @@ void ParallelFor(ThreadPool& pool, uint64_t begin, uint64_t end, Fn fn,
 /// chunks (independently of the worker count); `map(chunk_begin, chunk_end)`
 /// produces each chunk's partial serially, and partials are folded pairwise
 /// in a fixed binary tree. Floating-point results are therefore
-/// bitwise-identical for any pool size given the same grain.
+/// bitwise-identical for any `workers` given the same grain — workers <= 1
+/// is the same decomposition run inline, the serial path of kernels whose
+/// parallel path is a reduce.
 ///
 /// Partials live in a plain T[] rather than std::vector<T>: the
 /// vector<bool> specialization bit-packs neighbors into one word, which
 /// turns independent per-chunk writes into a data race (found by TSan).
 template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(ThreadPool& pool, uint64_t begin, uint64_t end, T identity,
+T ParallelReduce(unsigned workers, uint64_t begin, uint64_t end, T identity,
                  MapFn map, CombineFn combine, uint64_t grain = kDefaultGrain) {
   const uint64_t chunks = NumChunks(begin, end, grain);
   if (chunks == 0) return identity;
   auto partials = std::make_unique<T[]>(chunks);
   T* slots = partials.get();
-  const unsigned workers = pool.size() == 0 ? 1 : pool.size();
-  auto next = std::make_shared<std::atomic<uint64_t>>(0);
-  for (unsigned w = 0; w < std::min<uint64_t>(workers, chunks); ++w) {
-    pool.Submit([slots, next, map, begin, end, grain, chunks] {
-      for (;;) {
-        uint64_t c = next->fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks) return;
-        uint64_t b = begin + c * grain;
-        slots[c] = map(b, std::min(b + grain, end));
-      }
-    });
-  }
-  pool.Wait();
+  auto task = [&](uint64_t c) {
+    const uint64_t b = begin + c * grain;
+    slots[c] = map(b, std::min(b + grain, end));
+  };
+  internal::RunTasks(workers, chunks, task);
   // Fixed pairwise tree over chunk partials: stride 1 folds (0,1)(2,3)...,
   // stride 2 folds (0,2)(4,6)..., and so on up to the root at slot 0.
-  for (uint64_t stride = 1; stride < chunks; stride *= 2) {
-    for (uint64_t i = 0; i + stride < chunks; i += 2 * stride) {
-      slots[i] = combine(std::move(slots[i]), std::move(slots[i + stride]));
-    }
-  }
-  return std::move(slots[0]);
-}
-
-/// ParallelReduce's exact chunk decomposition and pairwise combine tree, run
-/// inline on the calling thread: the serial path (num_threads == 1) of
-/// kernels whose parallel path is ParallelReduce, guaranteeing
-/// bitwise-identical floating-point results with no pool at all. Same
-/// caveat as ParallelReduce regarding T = bool (irrelevant here, single
-/// writer) — partials simply live in a std::vector.
-template <typename T, typename MapFn, typename CombineFn>
-T SerialChunkReduce(uint64_t begin, uint64_t end, T identity, MapFn map,
-                    CombineFn combine, uint64_t grain = kDefaultGrain) {
-  const uint64_t chunks = NumChunks(begin, end, grain);
-  if (chunks == 0) return identity;
-  std::vector<T> slots;
-  slots.reserve(chunks);
-  for (uint64_t c = 0; c < chunks; ++c) {
-    uint64_t b = begin + c * grain;
-    slots.push_back(map(b, std::min(b + grain, end)));
-  }
   for (uint64_t stride = 1; stride < chunks; stride *= 2) {
     for (uint64_t i = 0; i + stride < chunks; i += 2 * stride) {
       slots[i] = combine(std::move(slots[i]), std::move(slots[i + stride]));

@@ -66,7 +66,7 @@ Result<EdgeList> PlantedPartition(VertexId n, uint32_t num_communities, double p
 // ---------------------------------------------------------------------------
 // Real-world-shaped corpus generators (ROADMAP item 5 / "SoK: The Faults in
 // our Graph Benchmarks"). Each is driven entirely by the caller's Rng, never
-// touches the thread pool, and produces a bitwise-identical edge list for a
+// forks threads, and produces a bitwise-identical edge list for a
 // fixed seed — the corpus differential and seed-stability tests depend on
 // that.
 // ---------------------------------------------------------------------------

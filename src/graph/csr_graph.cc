@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,44 +15,36 @@ namespace ubigraph {
 
 namespace {
 
-/// Inclusive prefix sum over `a`, block-parallel when a pool is given:
+/// Inclusive prefix sum over `a`, block-parallel on more than one worker:
 /// per-block partial sums, a serial scan of the block totals, then a
 /// parallel add-back of each block's base. Integer sums are
 /// order-independent, so the result matches the serial scan exactly.
-void InclusiveScan(std::vector<uint64_t>& a, ThreadPool* pool) {
+void InclusiveScan(std::vector<uint64_t>& a, unsigned workers) {
   const uint64_t n = a.size();
-  if (pool == nullptr || n < (1u << 14)) {
+  if (workers <= 1 || n < (1u << 14)) {
     std::partial_sum(a.begin(), a.end(), a.begin());
     return;
   }
-  const unsigned blocks = pool->size();
-  const uint64_t per = (n + blocks - 1) / blocks;
-  std::vector<uint64_t> base(blocks + 1, 0);
-  for (unsigned b = 0; b < blocks; ++b) {
+  const uint64_t per = (n + workers - 1) / workers;
+  std::vector<uint64_t> base(workers + 1, 0);
+  ForkJoin(workers, [&](unsigned b) {
     const uint64_t lo = std::min<uint64_t>(b * per, n);
     const uint64_t hi = std::min<uint64_t>(lo + per, n);
-    if (lo >= hi) continue;
-    pool->Submit([&a, &base, b, lo, hi] {
-      uint64_t sum = 0;
-      for (uint64_t i = lo; i < hi; ++i) {
-        sum += a[i];
-        a[i] = sum;
-      }
-      base[b + 1] = sum;
-    });
-  }
-  pool->Wait();
+    uint64_t sum = 0;
+    for (uint64_t i = lo; i < hi; ++i) {
+      sum += a[i];
+      a[i] = sum;
+    }
+    base[b + 1] = sum;
+  });
   std::partial_sum(base.begin(), base.end(), base.begin());
-  for (unsigned b = 1; b < blocks; ++b) {
+  ForkJoin(workers, [&](unsigned b) {
+    const uint64_t add = base[b];
+    if (add == 0) return;  // block 0, or an all-zero prefix
     const uint64_t lo = std::min<uint64_t>(b * per, n);
     const uint64_t hi = std::min<uint64_t>(lo + per, n);
-    const uint64_t add = base[b];
-    if (lo >= hi || add == 0) continue;
-    pool->Submit([&a, lo, hi, add] {
-      for (uint64_t i = lo; i < hi; ++i) a[i] += add;
-    });
-  }
-  pool->Wait();
+    for (uint64_t i = lo; i < hi; ++i) a[i] += add;
+  });
 }
 
 /// Shared CSR index builder. Scatters `es` into (offsets, targets[, weights])
@@ -64,7 +55,7 @@ void InclusiveScan(std::vector<uint64_t>& a, ThreadPool* pool) {
 /// (chunk-local counting sort), and the sorted path canonicalizes each
 /// adjacency range after an unordered atomic scatter.
 void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
-                bool sort_lists, ThreadPool* pool,
+                bool sort_lists, unsigned workers,
                 std::vector<uint64_t>& offsets, std::vector<VertexId>& targets,
                 std::vector<double>* weights) {
   assert(!(sym && reverse) && "undirected graphs alias the out index");
@@ -75,14 +66,14 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
   // Degree count. Counts are exact under relaxed atomic increments, so the
   // parallel path needs no per-thread histograms here.
   offsets.assign(static_cast<size_t>(n) + 1, 0);
-  if (pool == nullptr) {
+  if (workers <= 1) {
     for (const Edge& e : es) {
       ++offsets[key(e) + 1];
       if (sym && e.src != e.dst) ++offsets[e.dst + 1];
     }
   } else {
     ParallelForChunks(
-        *pool, 0, m,
+        workers, 0, m,
         [&](uint64_t b, uint64_t e) {
           for (uint64_t i = b; i < e; ++i) {
             const Edge& ed = es[i];
@@ -96,7 +87,7 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
         },
         Schedule::kStatic);
   }
-  InclusiveScan(offsets, pool);
+  InclusiveScan(offsets, workers);
 
   const uint64_t total = offsets[n];
   targets.resize(total);
@@ -107,7 +98,7 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
     if (weights != nullptr) (*weights)[pos] = w;
   };
 
-  if (pool == nullptr) {
+  if (workers <= 1) {
     // Stable serial scatter in edge-list order (for undirected inputs the
     // reverse arc lands immediately after its forward twin, matching the
     // order a pre-symmetrized list would have produced).
@@ -121,7 +112,7 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
     // sort, so a cheap unordered atomic scatter suffices.
     std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
     ParallelForChunks(
-        *pool, 0, m,
+        workers, 0, m,
         [&](uint64_t b, uint64_t e) {
           for (uint64_t i = b; i < e; ++i) {
             const Edge& ed = es[i];
@@ -142,25 +133,22 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
     // counts are turned into per-chunk cursors, and each chunk scatters into
     // its own disjoint slots. Costs workers x V words of cursor space —
     // only paid on parallel builds of unsorted graphs.
-    const unsigned chunks = pool->size();
+    const unsigned chunks = workers;
     const uint64_t per = (m + chunks - 1) / chunks;
     std::vector<std::vector<uint64_t>> chunk_count(chunks);
-    for (unsigned c = 0; c < chunks; ++c) {
-      pool->Submit([&, c] {
-        auto& count = chunk_count[c];
-        count.assign(n, 0);
-        const uint64_t lo = std::min<uint64_t>(c * per, m);
-        const uint64_t hi = std::min<uint64_t>(lo + per, m);
-        for (uint64_t i = lo; i < hi; ++i) {
-          ++count[key(es[i])];
-          if (sym && es[i].src != es[i].dst) ++count[es[i].dst];
-        }
-      });
-    }
-    pool->Wait();
+    ForkJoin(chunks, [&](unsigned c) {
+      auto& count = chunk_count[c];
+      count.assign(n, 0);
+      const uint64_t lo = std::min<uint64_t>(c * per, m);
+      const uint64_t hi = std::min<uint64_t>(lo + per, m);
+      for (uint64_t i = lo; i < hi; ++i) {
+        ++count[key(es[i])];
+        if (sym && es[i].src != es[i].dst) ++count[es[i].dst];
+      }
+    });
     // Turn counts into absolute cursors: chunk c starts where chunk c-1's
     // share of each vertex's range ends.
-    ParallelFor(*pool, 0, n, [&](uint64_t v) {
+    ParallelFor(workers, 0, n, [&](uint64_t v) {
       uint64_t run = offsets[v];
       for (unsigned c = 0; c < chunks; ++c) {
         uint64_t cnt = chunk_count[c][v];
@@ -168,19 +156,16 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
         run += cnt;
       }
     });
-    for (unsigned c = 0; c < chunks; ++c) {
-      pool->Submit([&, c] {
-        auto& cursor = chunk_count[c];
-        const uint64_t lo = std::min<uint64_t>(c * per, m);
-        const uint64_t hi = std::min<uint64_t>(lo + per, m);
-        for (uint64_t i = lo; i < hi; ++i) {
-          const Edge& ed = es[i];
-          place(cursor[key(ed)]++, val(ed), ed.weight);
-          if (sym && ed.src != ed.dst) place(cursor[ed.dst]++, ed.src, ed.weight);
-        }
-      });
-    }
-    pool->Wait();
+    ForkJoin(chunks, [&](unsigned c) {
+      auto& cursor = chunk_count[c];
+      const uint64_t lo = std::min<uint64_t>(c * per, m);
+      const uint64_t hi = std::min<uint64_t>(lo + per, m);
+      for (uint64_t i = lo; i < hi; ++i) {
+        const Edge& ed = es[i];
+        place(cursor[key(ed)]++, val(ed), ed.weight);
+        if (sym && ed.src != ed.dst) place(cursor[ed.dst]++, ed.src, ed.weight);
+      }
+    });
   }
 
   if (!sort_lists) return;
@@ -216,21 +201,16 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
       (*weights)[i] = scratch[i - lo].second;
     }
   };
-  if (pool == nullptr) {
-    std::vector<std::pair<VertexId, double>> scratch;
-    for (VertexId v = 0; v < n; ++v) sort_range(v, scratch);
-  } else {
-    // Dynamic chunks load-balance the skewed per-vertex sort cost.
-    ParallelForChunks(
-        *pool, 0, n,
-        [&](uint64_t b, uint64_t e) {
-          std::vector<std::pair<VertexId, double>> scratch;
-          for (uint64_t v = b; v < e; ++v) {
-            sort_range(static_cast<VertexId>(v), scratch);
-          }
-        },
-        Schedule::kDynamic);
-  }
+  // Dynamic chunks load-balance the skewed per-vertex sort cost.
+  ParallelForChunks(
+      workers, 0, n,
+      [&](uint64_t b, uint64_t e) {
+        std::vector<std::pair<VertexId, double>> scratch;
+        for (uint64_t v = b; v < e; ++v) {
+          sort_range(static_cast<VertexId>(v), scratch);
+        }
+      },
+      Schedule::kDynamic);
 }
 
 }  // namespace
@@ -246,7 +226,7 @@ Result<CsrGraph> CsrGraph::FromEdges(EdgeList edges, CsrOptions options) {
   g.sorted_ = options.sort_neighbors;
 
   unsigned threads = ResolveNumThreads(options.num_threads);
-  // Pool startup plus atomic scatter traffic beats the serial build only on
+  // Fork overhead plus atomic scatter traffic beats the serial build only on
   // inputs large enough to amortize it, and never on a single-core host;
   // min_parallel_edges == 0 opts out of the cutoff (tests/benches that must
   // exercise the parallel path itself).
@@ -257,18 +237,15 @@ Result<CsrGraph> CsrGraph::FromEdges(EdgeList edges, CsrOptions options) {
   }
   obs::AddCounter(
       threads > 1 ? "csr.build.path.parallel" : "csr.build.path.serial", 1);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
 
   // Undirected graphs scatter both arc directions straight from the
   // half-edge list instead of materializing a doubled copy first.
   const std::span<const Edge> es(edges.edges());
   BuildIndex(es, g.num_vertices_, /*sym=*/!options.directed, /*reverse=*/false,
-             options.sort_neighbors, pool_ptr, g.offsets_, g.dst_, &g.weights_);
+             options.sort_neighbors, threads, g.offsets_, g.dst_, &g.weights_);
   if (options.directed && options.build_in_edges) {
     BuildIndex(es, g.num_vertices_, /*sym=*/false, /*reverse=*/true,
-               options.sort_neighbors, pool_ptr, g.in_offsets_, g.in_src_,
+               options.sort_neighbors, threads, g.in_offsets_, g.in_src_,
                /*weights=*/nullptr);
   }
   return g;
@@ -346,9 +323,6 @@ Result<PermutedCsr> CsrGraph::Permute(std::span<const VertexId> perm,
   }
 
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  ThreadPool* pool_ptr = pool ? &*pool : nullptr;
 
   PermutedCsr out;
   CsrGraph& g = out.graph;
@@ -370,7 +344,7 @@ Result<PermutedCsr> CsrGraph::Permute(std::span<const VertexId> perm,
       const VertexId ov = new_to_old[nv];
       off[nv + 1] = src_off[ov + 1] - src_off[ov];
     }
-    InclusiveScan(off, pool_ptr);
+    InclusiveScan(off, threads);
     tgt.resize(src_tgt.size());
     if (w != nullptr) w->resize(src_w->size());
     auto copy_rows = [&](uint64_t b, uint64_t e) {
@@ -398,12 +372,8 @@ Result<PermutedCsr> CsrGraph::Permute(std::span<const VertexId> perm,
         }
       }
     };
-    if (pool_ptr == nullptr) {
-      copy_rows(0, n);
-    } else {
-      // Dynamic chunks load-balance the skewed per-vertex copy cost.
-      ParallelForChunks(*pool_ptr, 0, n, copy_rows, Schedule::kDynamic);
-    }
+    // Dynamic chunks load-balance the skewed per-vertex copy cost.
+    ParallelForChunks(threads, 0, n, copy_rows, Schedule::kDynamic);
   };
 
   relabel_index(offsets_, dst_, &weights_, g.offsets_, g.dst_, &g.weights_);

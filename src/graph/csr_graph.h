@@ -34,7 +34,7 @@ struct CsrOptions {
   /// neighbors stay unsorted, and sorting canonicalizes order otherwise).
   uint32_t num_threads = 1;
   /// Below this edge count (or on single-core hosts) a parallel build request
-  /// silently takes the serial path: pool startup plus the atomic scatter
+  /// silently takes the serial path: fork overhead plus the atomic scatter
   /// costs more than it saves on small inputs, and oversubscribed workers on
   /// a 1-core box are strictly slower. 0 forces the parallel path regardless
   /// (differential tests and build benchmarks rely on this). The path taken

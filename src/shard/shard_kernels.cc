@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
-#include <optional>
 
 #include "algorithms/traversal.h"
 #include "common/parallel.h"
@@ -34,20 +33,12 @@ struct ShardPlan {
   }
 };
 
-/// Runs fn(w) for every worker, on the pool when present. Workers record
-/// failures into their own slot of `status`; the first non-OK (lowest w)
-/// wins, deterministically.
+/// Runs fn(w) for every worker slot. Workers record failures into their own
+/// slot of `status`; the first non-OK (lowest w) wins, deterministically.
 template <typename Fn>
-Status RunWorkers(ThreadPool* pool, unsigned workers, Fn&& fn) {
+Status RunWorkers(unsigned workers, Fn&& fn) {
   std::vector<Status> status(workers);
-  if (pool == nullptr) {
-    status[0] = fn(0u);
-  } else {
-    for (unsigned w = 0; w < workers; ++w) {
-      pool->Submit([&status, &fn, w] { status[w] = fn(w); });
-    }
-    pool->Wait();
-  }
+  ForkJoin(workers, [&](unsigned w) { status[w] = fn(w); });
   for (unsigned w = 0; w < workers; ++w) {
     UG_RETURN_NOT_OK(status[w]);
   }
@@ -63,11 +54,7 @@ Result<ShardedPageRankResult> ShardedPageRank(
     return Status::Invalid("damping must be in [0, 1)");
   }
   const uint32_t S = g.num_shards();
-  const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads);
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
-  const unsigned W = pool == nullptr ? 1 : pool->size();
+  const unsigned W = ResolveNumThreads(options.num_threads);
   const ShardPlan plan(S, W);
 
   const double d = options.damping;
@@ -76,7 +63,7 @@ Result<ShardedPageRankResult> ShardedPageRank(
   // Same operands as the in-RAM kernel's inv_outdeg (1.0 / double(degree)),
   // so every contribution is the identical double. Cached on the graph —
   // repeated kernel calls no longer rebuild it.
-  const std::span<const double> inv_outdeg = g.InvOutDegrees(pool);
+  const std::span<const double> inv_outdeg = g.InvOutDegrees(W);
 
   std::vector<double> rank(n, tp), next(n);
   // Arcs each worker decoded. Every worker that owns destinations scans every
@@ -99,7 +86,7 @@ Result<ShardedPageRankResult> ShardedPageRank(
     // destinations while scanning ALL segments in ascending order — each
     // next[v] is built by one worker in globally ascending source order,
     // i.e. the serial push association, with zero message buffering.
-    UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
+    UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
       const VertexId db = g.shard_begin(plan.lo(w));
       const VertexId de = g.shard_begin(plan.hi(w));
       if (db == de) return Status::OK();
@@ -158,15 +145,11 @@ Result<std::vector<uint32_t>> ShardedBfs(
                               " vertices");
   }
   const uint32_t S = g.num_shards();
-  const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads);
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
-  const unsigned W = pool == nullptr ? 1 : pool->size();
+  const unsigned W = ResolveNumThreads(options.num_threads);
   const ShardPlan plan(S, W);
 
   const std::span<const VertexId> n2o = g.new_to_old();
-  const VertexId src = g.OldToNew(pool)[source];
+  const VertexId src = g.OldToNew(W)[source];
 
   std::vector<uint32_t> dist(n, algo::kUnreachable);
   dist[src] = 0;
@@ -183,7 +166,7 @@ Result<std::vector<uint32_t>> ShardedBfs(
   std::vector<uint64_t> worker_edges(W, 0);
 
   for (uint32_t level = 0;; ++level) {
-    UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
+    UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
       const uint32_t slo = plan.lo(w), shi = plan.hi(w);
       const VertexId db = g.shard_begin(slo);
       const VertexId de = g.shard_begin(shi);
@@ -235,11 +218,7 @@ Result<algo::ComponentResult> ShardedComponents(
     const ShardedCsr& g, const ShardedTraversalOptions& options) {
   const VertexId n = g.num_vertices();
   const uint32_t S = g.num_shards();
-  const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads);
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
-  const unsigned W = pool == nullptr ? 1 : pool->size();
+  const unsigned W = ResolveNumThreads(options.num_threads);
   const ShardPlan plan(S, W);
 
   // Jacobi min-label over the previous round's labels only: min is
@@ -260,7 +239,7 @@ Result<algo::ComponentResult> ShardedComponents(
     // jump, then every worker scanning a row u min-merges label_u into its
     // OWN destinations, and u's owner min-merges the row minimum into
     // next[u]. Min commutes, so the round equals the serial Jacobi round.
-    UG_RETURN_NOT_OK(RunWorkers(pool, W, [&](unsigned w) -> Status {
+    UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
       const VertexId db = g.shard_begin(plan.lo(w));
       const VertexId de = g.shard_begin(plan.hi(w));
       if (db == de) return Status::OK();
@@ -306,7 +285,7 @@ Result<algo::ComponentResult> ShardedComponents(
 
   // Canonical labels in ORIGINAL id space: first appearance in ascending
   // original order, exactly algo::WeaklyConnectedComponents' numbering.
-  const std::span<const VertexId> old_to_new = g.OldToNew(pool);
+  const std::span<const VertexId> old_to_new = g.OldToNew(W);
   algo::ComponentResult result;
   result.label.resize(n);
   std::vector<uint32_t> canon(n, UINT32_MAX);

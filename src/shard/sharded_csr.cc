@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "algorithms/partition.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "common/status.h"
 
@@ -223,27 +224,19 @@ Result<ShardedCsr> ShardedCsr::Open(const std::string& dir,
   return sharded;
 }
 
-std::span<const double> ShardedCsr::InvOutDegrees(ThreadPool* pool) const {
+std::span<const double> ShardedCsr::InvOutDegrees(unsigned workers) const {
   std::call_once(derived_->inv_outdeg_once, [&] {
     const VertexId n = num_vertices();
     std::vector<double>& inv = derived_->inv_outdeg;
     inv.resize(n);
     const std::span<const uint32_t> deg = degrees();
-    auto fill = [&](uint64_t b, uint64_t e) {
-      for (uint64_t v = b; v < e; ++v) {
-        inv[v] = deg[v] > 0 ? 1.0 / deg[v] : 0.0;
-      }
-    };
-    if (pool != nullptr && pool->size() > 1) {
-      ParallelForChunks(*pool, 0, n, fill);
-    } else {
-      fill(0, n);
-    }
+    ParallelFor(workers, 0, n,
+                [&](uint64_t v) { inv[v] = deg[v] > 0 ? 1.0 / deg[v] : 0.0; });
   });
   return derived_->inv_outdeg;
 }
 
-std::span<const VertexId> ShardedCsr::OldToNew(ThreadPool* pool) const {
+std::span<const VertexId> ShardedCsr::OldToNew(unsigned workers) const {
   std::call_once(derived_->old_to_new_once, [&] {
     const VertexId n = num_vertices();
     std::vector<VertexId>& o2n = derived_->old_to_new;
@@ -251,16 +244,8 @@ std::span<const VertexId> ShardedCsr::OldToNew(ThreadPool* pool) const {
     const std::span<const VertexId> n2o = new_to_old();
     // Scatter inverse: disjoint writes (new_to_old is a permutation), so the
     // chunked parallel fill is race-free.
-    auto fill = [&](uint64_t b, uint64_t e) {
-      for (uint64_t v = b; v < e; ++v) {
-        o2n[n2o[v]] = static_cast<VertexId>(v);
-      }
-    };
-    if (pool != nullptr && pool->size() > 1) {
-      ParallelForChunks(*pool, 0, n, fill);
-    } else {
-      fill(0, n);
-    }
+    ParallelFor(workers, 0, n,
+                [&](uint64_t v) { o2n[n2o[v]] = static_cast<VertexId>(v); });
   });
   return derived_->old_to_new;
 }

@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
-
 #include "common/result.h"
 #include "graph/csr_graph.h"
 #include "shard/segment.h"
@@ -110,14 +108,15 @@ class ShardedCsr {
   std::span<const VertexId> new_to_old() const { return manifest_.new_to_old; }
 
   /// 1/out-degree per relabeled id (0.0 for sinks) — PageRank's per-source
-  /// contribution factor. Built on first use (parallelized over `pool` when
-  /// given) and cached for the life of this instance; a ShardedCsr is
-  /// immutable after Build/Open, so the cache can never go stale. Thread-safe.
-  std::span<const double> InvOutDegrees(ThreadPool* pool = nullptr) const;
+  /// contribution factor. Built on first use (over `workers` threads, per
+  /// common/parallel.h) and cached for the life of this instance; a
+  /// ShardedCsr is immutable after Build/Open, so the cache can never go
+  /// stale. Thread-safe.
+  std::span<const double> InvOutDegrees(unsigned workers = 1) const;
 
   /// Original id -> relabeled id, the inverse of new_to_old(). Same caching
   /// and threading contract as InvOutDegrees().
-  std::span<const VertexId> OldToNew(ThreadPool* pool = nullptr) const;
+  std::span<const VertexId> OldToNew(unsigned workers = 1) const;
 
   SegmentCache& cache() const { return *cache_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "common/parallel.h"
@@ -142,9 +141,6 @@ IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps(
       options_.tolerance > 0 ? options_.tolerance / static_cast<double>(n) : 0.0;
 
   const unsigned threads = ResolveNumThreads(options_.num_threads);
-  std::optional<ThreadPool> pool_storage;
-  if (threads > 1) pool_storage.emplace(threads);
-  ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
 
   Frontier active(n), changed(n), next_active(n);
   if (start_full) {
@@ -156,8 +152,8 @@ IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps(
   }
 
   std::vector<double> next(n, 0.0), wrank(n, 0.0);
-  // Serial paths reduce over the same fixed grain-1024 chunk tree the thread
-  // pool uses, so every thread count produces bitwise-identical sums.
+  // Every reduce, serial included, runs the same fixed grain-1024 chunk
+  // tree, so every thread count produces bitwise-identical sums.
   auto plus = [](double a, double b) { return a + b; };
   auto dangling_map = [&](uint64_t b, uint64_t e) {
     double sum = 0.0;
@@ -166,23 +162,12 @@ IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps(
     }
     return sum;
   };
-  auto dangling_mass = [&]() {
-    if (pool == nullptr) return SerialChunkReduce(0, n, 0.0, dangling_map, plus);
-    return ParallelReduce(*pool, 0, n, 0.0, dangling_map, plus);
-  };
-  auto build_wrank = [&]() {
-    if (pool == nullptr) {
-      for (VertexId v = 0; v < n; ++v) wrank[v] = rank_[v] * inv_outdeg_[v];
-    } else {
-      ParallelFor(*pool, 0, n,
-                  [&](uint64_t v) { wrank[v] = rank_[v] * inv_outdeg_[v]; });
-    }
-  };
 
   BatchResult result;
   for (uint32_t sweep_no = 0; sweep_no < options_.max_sweeps; ++sweep_no) {
-    const double dangling = dangling_mass();
-    build_wrank();
+    const double dangling = ParallelReduce(threads, 0, n, 0.0, dangling_map, plus);
+    ParallelFor(threads, 0, n,
+                [&](uint64_t v) { wrank[v] = rank_[v] * inv_outdeg_[v]; });
     result.vertices_reactivated += active.size();
     changed.ClearDense();
     // One sweep chunk: gather active vertices, drift-update quiescent ones.
@@ -202,7 +187,7 @@ IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps(
           p.second += in.size();
           nv = (1.0 - d) * teleport + d * (in_sum + dangling * teleport);
           if (std::abs(nv - rank_[v]) > thr) {
-            if (pool != nullptr) {
+            if (threads > 1) {
               changed.AtomicTestAndSet(v);
             } else {
               changed.Set(v);
@@ -219,10 +204,7 @@ IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps(
     auto combine = [](Partial a, Partial b) {
       return Partial{a.first + b.first, a.second + b.second};
     };
-    Partial total = pool == nullptr
-                        ? SerialChunkReduce(0, n, Partial{0.0, 0}, sweep, combine)
-                        : ParallelReduce(*pool, 0, n, Partial{0.0, 0}, sweep,
-                                         combine);
+    Partial total = ParallelReduce(threads, 0, n, Partial{0.0, 0}, sweep, combine);
     result.edges_rerelaxed += total.second;
     prev_dangling_ = dangling;
     const bool was_full = active.size() == n;

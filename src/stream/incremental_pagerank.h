@@ -11,9 +11,9 @@
 // certifies. Note that two IEEE-754 fixpoint trajectories that satisfy the
 // same criterion need not be bitwise equal — see DESIGN.md "Incremental
 // maintenance" for the measured ulp-level gap vs. cold recompute — but
-// results ARE bitwise-identical across thread counts: both the serial and
-// parallel paths reduce over the same fixed grain-1024 chunk tree
-// (SerialChunkReduce / ParallelReduce in src/common/parallel.h).
+// results ARE bitwise-identical across thread counts: every path reduces
+// over the same fixed grain-1024 chunk tree (ParallelReduce in
+// src/common/parallel.h, which runs it inline at one thread).
 #pragma once
 
 #include <cstdint>
