@@ -3,6 +3,8 @@
 // about "inefficient loading" predict.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "common/random.h"
 #include "gen/generators.h"
 #include "io/binary_io.h"
@@ -11,6 +13,9 @@
 #include "io/gml_io.h"
 #include "io/graphml_io.h"
 #include "io/json_io.h"
+#include "io/mmio.h"
+#include "perf_common.h"
+#include "perf_obs.h"
 
 namespace ubigraph {
 namespace {
@@ -26,12 +31,39 @@ void BM_WriteEdgeListText(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteEdgeListText);
 
-void BM_ParseEdgeListText(benchmark::State& state) {
-  std::string text = io::WriteEdgeListText(BenchEdges());
-  for (auto _ : state) benchmark::DoNotOptimize(io::ParseEdgeListText(text));
+// Args = {scale, edges per vertex}: RMAT text, whose skewed ids and line
+// lengths match the ingest_rmat end-to-end workload (scale 17 there). A
+// parse is one pass over the text, so work_items is the input byte count.
+template <typename WriteFn, typename ParseFn>
+void RmatTextParseBench(benchmark::State& state, const char* format, WriteFn write,
+                        ParseFn parse) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  Rng rng(scale * 7919ULL + 5);
+  const std::string text = write(
+      gen::Rmat(scale, static_cast<uint64_t>(state.range(1)) << scale, &rng)
+          .ValueOrDie());
+  for (auto _ : state) benchmark::DoNotOptimize(parse(text));
   state.SetBytesProcessed(state.iterations() * text.size());
+  bench::SetWorkItems(state, static_cast<double>(text.size()));
+  state.SetLabel(std::string("kernel=parse mode=") + format + " graph=rmat" +
+                 std::to_string(scale));
 }
-BENCHMARK(BM_ParseEdgeListText);
+
+void BM_ParseEdgeListText(benchmark::State& state) {
+  RmatTextParseBench(state, "edge_list", io::WriteEdgeListText,
+                     io::ParseEdgeListText);
+}
+void BM_ParseMatrixMarket(benchmark::State& state) {
+  RmatTextParseBench(
+      state, "mmio", [](const EdgeList& el) { return io::WriteMatrixMarket(el); },
+      io::ParseMatrixMarket);
+}
+void BM_ParseTsvTriples(benchmark::State& state) {
+  RmatTextParseBench(state, "tsv", io::WriteTsvTriples, io::ParseTsvTriples);
+}
+BENCHMARK(BM_ParseEdgeListText)->Args({12, 8})->Args({17, 8});
+BENCHMARK(BM_ParseMatrixMarket)->Args({12, 8});
+BENCHMARK(BM_ParseTsvTriples)->Args({12, 8});
 
 void BM_ParseCsv(benchmark::State& state) {
   std::string text = io::WriteCsvEdges(BenchEdges());
@@ -77,4 +109,4 @@ BENCHMARK(BM_WriteBinary);
 }  // namespace
 }  // namespace ubigraph
 
-BENCHMARK_MAIN();
+UBIGRAPH_BENCHMARK_MAIN_WITH_OBS();

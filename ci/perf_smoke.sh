@@ -12,7 +12,9 @@
 # out-of-core records must stay out-of-core. The scale-12 slice includes
 # non-RMAT corpus shapes (BM_BfsHybridRoad on the road lattice,
 # BM_PageRankPullLfr on the LFR community graph), so the gate is not blind to
-# locality regressions that an RMAT-only smoke would miss.
+# locality regressions that an RMAT-only smoke would miss. It also times the
+# edge-list, Matrix Market and TSV parsers on RMAT-12 text (perf_io), so the
+# load path is gated as well as the kernels.
 #
 # Wall-clock baselines are machine-relative: regenerate on the machine that
 # enforces the gate with
@@ -37,7 +39,7 @@ BENCH_FLAGS=(--benchmark_filter='/12/' --benchmark_min_time=0.05
              --benchmark_repetitions=5 --benchmark_report_aggregates_only=false)
 SMOKE_BINARIES=(perf_traversal perf_pagerank perf_components perf_csr_build
                 perf_reorder perf_shortest_path perf_centrality
-                perf_incremental perf_query perf_sharded)
+                perf_incremental perf_query perf_sharded perf_io)
 
 cmake -S "$ROOT" -B "$BUILD_DIR" > /dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target \

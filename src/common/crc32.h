@@ -6,7 +6,8 @@
 
 namespace ubigraph {
 
-/// Computes or extends a CRC32 checksum. Start with crc = 0.
+/// Computes or extends a CRC32 checksum (reflected 0xEDB88320, slicing by
+/// eight bytes). Start with crc = 0.
 uint32_t Crc32(const void* data, size_t len, uint32_t crc = 0);
 
 }  // namespace ubigraph

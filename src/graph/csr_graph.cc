@@ -1,8 +1,8 @@
 #include "graph/csr_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -47,126 +47,101 @@ void InclusiveScan(std::vector<uint64_t>& a, unsigned workers) {
   });
 }
 
-/// Shared CSR index builder. Scatters `es` into (offsets, targets[, weights])
-/// keyed on src (or dst when `reverse`); `sym` additionally scatters the
-/// reverse arc of every non-loop edge, which is how undirected graphs are
-/// built without materializing a doubled edge list first. The output is
-/// bitwise-identical at any thread count: the unsorted scatter is stable
-/// (chunk-local counting sort), and the sorted path canonicalizes each
-/// adjacency range after an unordered atomic scatter.
-void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
-                bool sort_lists, unsigned workers,
-                std::vector<uint64_t>& offsets, std::vector<VertexId>& targets,
-                std::vector<double>* weights) {
-  assert(!(sym && reverse) && "undirected graphs alias the out index");
+/// Stable scatter behind BuildIndex: chunk c, a contiguous slice of the
+/// edge list, counts its arcs per vertex into row c of a chunks x V block,
+/// the rows sum to the offsets and become per-chunk cursors, and each chunk
+/// scatters into its own slots without atomics. Every adjacency range thus
+/// holds its arcs in edge-list order at any chunk count, an undirected
+/// edge's reverse arc right after its forward twin. Cursors are absolute arc
+/// positions, so `Cursor` must hold the arc count.
+template <typename Cursor>
+void ScatterArcs(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
+                 unsigned workers, std::vector<uint64_t>& offsets,
+                 std::vector<VertexId>& targets, std::vector<double>* weights) {
   const size_t m = es.size();
   auto key = [reverse](const Edge& e) { return reverse ? e.dst : e.src; };
   auto val = [reverse](const Edge& e) { return reverse ? e.src : e.dst; };
 
-  // Degree count. Counts are exact under relaxed atomic increments, so the
-  // parallel path needs no per-thread histograms here.
+  // The outputs are allocated before the cursor block so that the
+  // short-lived block sits above them in the heap; a block below them
+  // leaves a hole that grew the steady-state heap by ~5 MB on the road
+  // lattice. An undirected edge adds a reverse arc unless it is a loop.
+  const uint64_t total =
+      sym ? 2 * m - std::count_if(es.begin(), es.end(),
+                                  [](const Edge& e) { return e.src == e.dst; })
+          : m;
   offsets.assign(static_cast<size_t>(n) + 1, 0);
-  if (workers <= 1) {
-    for (const Edge& e : es) {
-      ++offsets[key(e) + 1];
-      if (sym && e.src != e.dst) ++offsets[e.dst + 1];
-    }
-  } else {
-    ParallelForChunks(
-        workers, 0, m,
-        [&](uint64_t b, uint64_t e) {
-          for (uint64_t i = b; i < e; ++i) {
-            const Edge& ed = es[i];
-            std::atomic_ref<uint64_t>(offsets[key(ed) + 1])
-                .fetch_add(1, std::memory_order_relaxed);
-            if (sym && ed.src != ed.dst) {
-              std::atomic_ref<uint64_t>(offsets[ed.dst + 1])
-                  .fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        },
-        Schedule::kStatic);
-  }
-  InclusiveScan(offsets, workers);
-
-  const uint64_t total = offsets[n];
   targets.resize(total);
   if (weights != nullptr) weights->resize(total);
+
+  const unsigned chunks = std::max(workers, 1u);
+  const uint64_t per = (m + chunks - 1) / chunks;
+  // One block, allocated here rather than per worker: worker-allocated rows
+  // would land in (and stay in) the workers' malloc arenas.
+  auto block = std::make_unique_for_overwrite<Cursor[]>(uint64_t{chunks} * n);
+  auto row = [&](unsigned c) { return block.get() + uint64_t{c} * n; };
+  ForkJoin(chunks, [&](unsigned c) {
+    Cursor* count = row(c);
+    std::fill_n(count, n, 0);
+    const uint64_t lo = std::min<uint64_t>(c * per, m);
+    const uint64_t hi = std::min<uint64_t>(lo + per, m);
+    for (uint64_t i = lo; i < hi; ++i) {
+      ++count[key(es[i])];
+      if (sym && es[i].src != es[i].dst) ++count[es[i].dst];
+    }
+  });
+  ParallelFor(workers, 0, n, [&](uint64_t v) {
+    uint64_t degree = 0;
+    for (unsigned c = 0; c < chunks; ++c) degree += row(c)[v];
+    offsets[v + 1] = degree;
+  });
+  InclusiveScan(offsets, workers);
+  assert(offsets[n] == total);
+  // Turn counts into absolute cursors: chunk c starts where chunk c-1's
+  // share of each vertex's range ends.
+  ParallelFor(workers, 0, n, [&](uint64_t v) {
+    uint64_t run = offsets[v];
+    for (unsigned c = 0; c < chunks; ++c) {
+      const uint64_t cnt = row(c)[v];
+      row(c)[v] = static_cast<Cursor>(run);
+      run += cnt;
+    }
+  });
 
   auto place = [&](uint64_t pos, VertexId t, double w) {
     targets[pos] = t;
     if (weights != nullptr) (*weights)[pos] = w;
   };
-
-  if (workers <= 1) {
-    // Stable serial scatter in edge-list order (for undirected inputs the
-    // reverse arc lands immediately after its forward twin, matching the
-    // order a pre-symmetrized list would have produced).
-    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Edge& e : es) {
-      place(cursor[key(e)]++, val(e), e.weight);
-      if (sym && e.src != e.dst) place(cursor[e.dst]++, e.src, e.weight);
+  ForkJoin(chunks, [&](unsigned c) {
+    Cursor* cursor = row(c);
+    const uint64_t lo = std::min<uint64_t>(c * per, m);
+    const uint64_t hi = std::min<uint64_t>(lo + per, m);
+    for (uint64_t i = lo; i < hi; ++i) {
+      const Edge& ed = es[i];
+      place(cursor[key(ed)]++, val(ed), ed.weight);
+      if (sym && ed.src != ed.dst) place(cursor[ed.dst]++, ed.src, ed.weight);
     }
-  } else if (sort_lists) {
-    // Order within each adjacency range is about to be canonicalized by the
-    // sort, so a cheap unordered atomic scatter suffices.
-    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    ParallelForChunks(
-        workers, 0, m,
-        [&](uint64_t b, uint64_t e) {
-          for (uint64_t i = b; i < e; ++i) {
-            const Edge& ed = es[i];
-            uint64_t pos = std::atomic_ref<uint64_t>(cursor[key(ed)])
-                               .fetch_add(1, std::memory_order_relaxed);
-            place(pos, val(ed), ed.weight);
-            if (sym && ed.src != ed.dst) {
-              pos = std::atomic_ref<uint64_t>(cursor[ed.dst])
-                        .fetch_add(1, std::memory_order_relaxed);
-              place(pos, ed.src, ed.weight);
-            }
-          }
-        },
-        Schedule::kStatic);
+  });
+}
+
+/// Shared CSR index builder. Scatters `es` into (offsets, targets[, weights])
+/// keyed on src (or dst when `reverse`); `sym` additionally scatters the
+/// reverse arc of every non-loop edge, which is how undirected graphs are
+/// built without materializing a doubled edge list first. The arrays are
+/// bitwise-identical at any `workers`.
+void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
+                bool sort_lists, unsigned workers,
+                std::vector<uint64_t>& offsets, std::vector<VertexId>& targets,
+                std::vector<double>* weights) {
+  assert(!(sym && reverse) && "undirected graphs alias the out index");
+  // 32-bit cursors halve the chunks x V block for every graph under 2^32
+  // arcs; on the road lattice that block is the build's largest transient.
+  if ((sym ? 2 : 1) * uint64_t{es.size()} <= UINT32_MAX) {
+    ScatterArcs<uint32_t>(es, n, sym, reverse, workers, offsets, targets, weights);
   } else {
-    // Unsorted lists must preserve edge-list order, so run a chunked stable
-    // counting sort: each worker-chunk counts its per-vertex degrees, the
-    // counts are turned into per-chunk cursors, and each chunk scatters into
-    // its own disjoint slots. Costs workers x V words of cursor space —
-    // only paid on parallel builds of unsorted graphs.
-    const unsigned chunks = workers;
-    const uint64_t per = (m + chunks - 1) / chunks;
-    std::vector<std::vector<uint64_t>> chunk_count(chunks);
-    ForkJoin(chunks, [&](unsigned c) {
-      auto& count = chunk_count[c];
-      count.assign(n, 0);
-      const uint64_t lo = std::min<uint64_t>(c * per, m);
-      const uint64_t hi = std::min<uint64_t>(lo + per, m);
-      for (uint64_t i = lo; i < hi; ++i) {
-        ++count[key(es[i])];
-        if (sym && es[i].src != es[i].dst) ++count[es[i].dst];
-      }
-    });
-    // Turn counts into absolute cursors: chunk c starts where chunk c-1's
-    // share of each vertex's range ends.
-    ParallelFor(workers, 0, n, [&](uint64_t v) {
-      uint64_t run = offsets[v];
-      for (unsigned c = 0; c < chunks; ++c) {
-        uint64_t cnt = chunk_count[c][v];
-        chunk_count[c][v] = run;
-        run += cnt;
-      }
-    });
-    ForkJoin(chunks, [&](unsigned c) {
-      auto& cursor = chunk_count[c];
-      const uint64_t lo = std::min<uint64_t>(c * per, m);
-      const uint64_t hi = std::min<uint64_t>(lo + per, m);
-      for (uint64_t i = lo; i < hi; ++i) {
-        const Edge& ed = es[i];
-        place(cursor[key(ed)]++, val(ed), ed.weight);
-        if (sym && ed.src != ed.dst) place(cursor[ed.dst]++, ed.src, ed.weight);
-      }
-    });
+    ScatterArcs<uint64_t>(es, n, sym, reverse, workers, offsets, targets, weights);
   }
+  const uint64_t total = offsets[n];
 
   if (!sort_lists) return;
 
@@ -226,10 +201,10 @@ Result<CsrGraph> CsrGraph::FromEdges(EdgeList edges, CsrOptions options) {
   g.sorted_ = options.sort_neighbors;
 
   unsigned threads = ResolveNumThreads(options.num_threads);
-  // Fork overhead plus atomic scatter traffic beats the serial build only on
-  // inputs large enough to amortize it, and never on a single-core host;
+  // More chunks pay off only on inputs large enough to amortize the fork and
+  // the chunks x V cursor block, and never on a single-core host;
   // min_parallel_edges == 0 opts out of the cutoff (tests/benches that must
-  // exercise the parallel path itself).
+  // exercise multi-chunk builds on small inputs).
   if (threads > 1 && options.min_parallel_edges != 0 &&
       (std::thread::hardware_concurrency() < 2 ||
        edges.edges().size() < options.min_parallel_edges)) {

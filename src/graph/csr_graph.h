@@ -26,19 +26,19 @@ struct CsrOptions {
   bool deduplicate = false;
   /// Drop self-loops.
   bool remove_self_loops = false;
-  /// Construction parallelism: 0 = hardware_concurrency, 1 = the exact
-  /// serial path (default), >= 2 = that many workers. Parallel builds run
-  /// degree counting, the offset prefix sum, the edge scatter, and per-vertex
-  /// neighbor sorts concurrently; the resulting arrays are bitwise-identical
-  /// to the serial build at any thread count (the scatter is stable when
-  /// neighbors stay unsorted, and sorting canonicalizes order otherwise).
+  /// Construction parallelism: 0 = hardware_concurrency, 1 = one chunk on
+  /// the caller (default), >= 2 = that many chunks and workers. Every count
+  /// runs the same stable counting sort: per-chunk degree counts, the offset
+  /// prefix sum, the edge scatter, and per-vertex neighbor sorts, so the
+  /// arrays are bitwise-identical at any thread count.
   uint32_t num_threads = 1;
   /// Below this edge count (or on single-core hosts) a parallel build request
-  /// silently takes the serial path: fork overhead plus the atomic scatter
-  /// costs more than it saves on small inputs, and oversubscribed workers on
-  /// a 1-core box are strictly slower. 0 forces the parallel path regardless
-  /// (differential tests and build benchmarks rely on this). The path taken
-  /// is recorded in the obs registry as csr.build.path.{serial,parallel}.
+  /// silently runs as one chunk: the fork and the num_threads x V block of
+  /// per-chunk cursors cost more than they save on small inputs, and
+  /// oversubscribed workers on a 1-core box are strictly slower. 0 keeps
+  /// every chunk regardless (differential tests and build benchmarks rely on
+  /// this). The path taken is recorded in the obs registry as
+  /// csr.build.path.{serial,parallel}.
   uint64_t min_parallel_edges = 1u << 17;
 };
 

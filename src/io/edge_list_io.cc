@@ -1,39 +1,37 @@
 #include "io/edge_list_io.h"
 
 #include <fstream>
-#include <sstream>
 
+#include "common/file.h"
 #include "common/strings.h"
 #include "io/parse_metrics.h"
+#include "io/text_scan.h"
 
 namespace ubigraph::io {
 
 namespace {
 
-Result<EdgeList> ParseEdgeListTextImpl(const std::string& text) {
+Result<EdgeList> ParseEdgeListTextImpl(std::string_view text) {
+  using internal::ParseErrorAt;
   EdgeList el;
-  size_t line_no = 0;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::string_view sv = Trim(line);
-    if (sv.empty() || sv[0] == '#') continue;
-    std::vector<std::string> fields = SplitWhitespace(sv);
-    if (fields.size() < 2 || fields.size() > 3) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": expected 'src dst [weight]'");
+  // Reserve from the bytes present: at most one edge per line.
+  el.Reserve(internal::CountNewlines(text) + 1);
+  internal::LineScanner lines(text);
+  std::string_view line, f[3];
+  while (lines.Next(&line)) {
+    const size_t n = internal::SplitFields(line, f, 3);
+    if (n == 0 || f[0][0] == '#') continue;
+    if (n < 2 || n > 3) {
+      return ParseErrorAt(lines.line_no(), "expected 'src dst [weight]'");
     }
     int64_t src = 0, dst = 0;
-    if (!ParseInt64(fields[0], &src) || !ParseInt64(fields[1], &dst) ||
+    if (!internal::ParseIntField(f[0], &src) || !internal::ParseIntField(f[1], &dst) ||
         src < 0 || dst < 0 || src > UINT32_MAX || dst > UINT32_MAX) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": invalid vertex id");
+      return ParseErrorAt(lines.line_no(), "invalid vertex id");
     }
     double weight = 1.0;
-    if (fields.size() == 3 && !ParseDouble(fields[2], &weight)) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": invalid weight");
+    if (n == 3 && !internal::ParseDoubleField(f[2], &weight)) {
+      return ParseErrorAt(lines.line_no(), "invalid weight");
     }
     el.Add(static_cast<VertexId>(src), static_cast<VertexId>(dst), weight);
   }
@@ -67,12 +65,7 @@ std::string WriteEdgeListText(const EdgeList& edges) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return ss.str();
+  return ReadWholeFile(path);
 }
 
 Status WriteStringToFile(const std::string& content, const std::string& path) {

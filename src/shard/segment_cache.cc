@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 
+#include "common/file.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 
@@ -36,19 +37,6 @@ struct SegmentCache::Counters {
 };
 
 namespace {
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("segment cache: cannot open " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IOError("segment cache: read failed on " + path);
-  }
-  return bytes;
-}
 
 /// Validates a file's leading SegmentHeader and size without touching the
 /// payload, so open fails fast on wrong-format files before any mmap.
@@ -215,7 +203,7 @@ Status SegmentCache::LoadLocked(uint32_t shard) {
   Entry& e = entries_[shard];
   const uint8_t* data = nullptr;
   if (options_.storage == SegmentStorage::kResident) {
-    UG_ASSIGN_OR_RETURN(e.blob, ReadFileBytes(e.path));
+    UG_ASSIGN_OR_RETURN(e.blob, ReadWholeFile(e.path, "segment cache: "));
     data = reinterpret_cast<const uint8_t*>(e.blob.data());
   } else {
     const int fd = ::open(e.path.c_str(), O_RDONLY);

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "algorithms/partition.h"
+#include "common/file.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -19,19 +20,6 @@ std::string SegmentFileName(uint32_t s) {
 }
 
 constexpr const char* kManifestFileName = "manifest.ugsm";
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("sharded csr: cannot open " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IOError("sharded csr: read failed on " + path);
-  }
-  return bytes;
-}
 
 Status WriteWholeFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -191,8 +179,9 @@ Status ShardedCsr::WriteTo(const std::string& dir) const {
 
 Result<ShardedCsr> ShardedCsr::Open(const std::string& dir,
                                     const ShardOpenOptions& options) {
-  UG_ASSIGN_OR_RETURN(std::string manifest_bytes,
-                      ReadWholeFile(dir + "/" + kManifestFileName));
+  UG_ASSIGN_OR_RETURN(
+      std::string manifest_bytes,
+      ReadWholeFile(dir + "/" + kManifestFileName, "sharded csr: "));
   ShardedCsr sharded;
   UG_ASSIGN_OR_RETURN(
       sharded.manifest_,

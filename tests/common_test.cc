@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "common/crc32.h"
+#include "common/file.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -339,11 +342,90 @@ TEST(Crc32Test, KnownVector) {
 
 TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32("", 0), 0u); }
 
+/// Bit-at-a-time CRC32 over the same reflected polynomial: the reference the
+/// sliced implementation must match on every alignment and length.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t len, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return ~c;
+}
+
+TEST(Crc32Test, SlicedMatchesBitwiseReference) {
+  Rng rng(32);
+  std::vector<uint8_t> buf((size_t{1} << 20) + 64);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBounded(256));
+  const uint32_t seed = 0x9E3779B9u;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    for (size_t len = 0; len <= 17; ++len) {
+      EXPECT_EQ(Crc32(p, len), BitwiseCrc32(p, len, 0)) << offset << "+" << len;
+      EXPECT_EQ(Crc32(p, len, seed), BitwiseCrc32(p, len, seed))
+          << offset << "+" << len;
+    }
+    const size_t big = (size_t{1} << 20) + 13;
+    // Chaining: the CRC of a prefix seeds the CRC of the rest.
+    const size_t split = 333333 + offset;
+    EXPECT_EQ(Crc32(p + split, big - split, Crc32(p, split, seed)),
+              BitwiseCrc32(p, big, seed))
+        << offset;
+  }
+}
+
 TEST(Crc32Test, DetectsBitFlip) {
   std::string a = "hello world";
   std::string b = a;
   b[3] ^= 1;
   EXPECT_NE(Crc32(a.data(), a.size()), Crc32(b.data(), b.size()));
+}
+
+TEST(ReadWholeFileTest, RoundTripsEveryByte) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ug_read_whole_file.bin").string();
+  Rng rng(5);
+  std::string bytes(200001, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+  std::ofstream(path, std::ios::binary) << bytes;
+  auto back = ReadWholeFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, bytes);
+  std::ofstream(path, std::ios::binary | std::ios::trunc).flush();
+  back = ReadWholeFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->empty());
+  std::filesystem::remove(path);
+}
+
+TEST(ReadWholeFileTest, ErrorsCarryTheCallerContext) {
+  auto missing = ReadWholeFile("/nonexistent/nope.bin", "segment cache: ");
+  ASSERT_TRUE(missing.status().IsIOError());
+  EXPECT_EQ(missing.status().message(), "segment cache: cannot open /nonexistent/nope.bin");
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  auto directory = ReadWholeFile(dir, "sharded csr: ");
+  ASSERT_TRUE(directory.status().IsIOError());
+  EXPECT_EQ(directory.status().message(), "sharded csr: read failed on " + dir);
+}
+
+TEST(ReadWholeFileTest, ShortAndUnsizedFilesYieldExactlyTheBytesRead) {
+  // sysfs reports a 4096-byte size for a few-byte attribute (a file that
+  // is shorter than its size); procfs reports size 0 and is read to EOF.
+  const char* kShort = "/sys/devices/system/cpu/online";
+  const char* kUnsized = "/proc/self/status";
+  if (!std::filesystem::exists(kShort) || !std::filesystem::exists(kUnsized)) {
+    GTEST_SKIP() << "needs Linux sysfs and procfs";
+  }
+  auto online = ReadWholeFile(kShort);
+  ASSERT_TRUE(online.ok()) << online.status().ToString();
+  ASSERT_FALSE(online->empty());
+  EXPECT_LT(online->size(), 4096u);
+  EXPECT_EQ(online->back(), '\n');
+  EXPECT_EQ(online->find('\0'), std::string::npos);
+  auto status = ReadWholeFile(kUnsized);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  EXPECT_EQ(status->rfind("Name:", 0), 0u);
+  EXPECT_EQ(status->back(), '\n');
 }
 
 }  // namespace

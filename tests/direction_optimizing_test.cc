@@ -4,6 +4,7 @@
 // builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -267,57 +268,131 @@ TEST(FrontierTest, RepresentationConversionsRoundTrip) {
   EXPECT_EQ(f.Vertices().back(), 129u);
 }
 
-/// Parallel CSR builds must be bitwise-identical to the serial build: same
-/// offsets, targets, weights, and in-edge index.
-TEST(ParallelCsrBuildTest, BitwiseIdenticalToSerial) {
+/// Inputs for the CSR build differentials. Every build runs the same
+/// chunked counting sort, so the cases target chunk boundaries: a skewed
+/// RMAT graph with distinguishable weights (scatter-order bugs show up), far
+/// more vertices than edges (most chunk rows stay zero), no edges at all,
+/// and repeated (src, dst) pairs whose weights only the stable order tells
+/// apart.
+std::vector<std::pair<std::string, EdgeList>> CsrBuildInputs() {
+  std::vector<std::pair<std::string, EdgeList>> inputs;
   Rng rng(21);
-  EdgeList base = gen::Rmat(11, 8 << 11, &rng).ValueOrDie();
-  // Give edges distinguishable weights so scatter-order bugs show up.
-  for (size_t i = 0; i < base.mutable_edges().size(); ++i) {
-    base.mutable_edges()[i].weight = static_cast<double>(i % 97) + 0.5;
+  EdgeList rmat = gen::Rmat(11, 8 << 11, &rng).ValueOrDie();
+  for (size_t i = 0; i < rmat.mutable_edges().size(); ++i) {
+    rmat.mutable_edges()[i].weight = static_cast<double>(i % 97) + 0.5;
   }
-  struct Config {
-    const char* name;
-    bool directed, in_edges, sort;
-  };
-  const Config configs[] = {
-      {"directed_sorted", true, false, true},
-      {"directed_in_sorted", true, true, true},
-      {"directed_unsorted", true, false, false},
-      {"undirected_sorted", false, false, true},
-      {"undirected_unsorted", false, false, false},
-  };
-  for (const Config& c : configs) {
-    CsrOptions opts;
-    opts.directed = c.directed;
-    opts.build_in_edges = c.in_edges;
-    opts.sort_neighbors = c.sort;
-    // This 16K-edge list is below the serial-fallback cutoff (and CI runs on
-    // one core); force the parallel path so the differential is real.
-    opts.min_parallel_edges = 0;
-    EdgeList serial_edges = base;
-    CsrGraph serial =
-        CsrGraph::FromEdges(std::move(serial_edges), opts).ValueOrDie();
-    for (uint32_t threads : {2u, 4u, 8u}) {
-      opts.num_threads = threads;
-      EdgeList copy = base;
-      CsrGraph parallel = CsrGraph::FromEdges(std::move(copy), opts).ValueOrDie();
-      ASSERT_EQ(parallel.num_vertices(), serial.num_vertices());
-      EXPECT_EQ(parallel.offsets(), serial.offsets())
-          << c.name << " threads=" << threads;
-      EXPECT_EQ(parallel.targets(), serial.targets())
-          << c.name << " threads=" << threads;
-      EXPECT_EQ(parallel.weights(), serial.weights())
-          << c.name << " threads=" << threads;
-      ASSERT_EQ(parallel.has_in_edges(), serial.has_in_edges());
-      if (serial.has_in_edges() && serial.directed()) {
-        for (VertexId v = 0; v < serial.num_vertices(); ++v) {
-          ASSERT_EQ(parallel.InDegree(v), serial.InDegree(v))
-              << c.name << " threads=" << threads << " v=" << v;
-          auto a = parallel.InNeighbors(v);
-          auto b = serial.InNeighbors(v);
-          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-              << c.name << " threads=" << threads << " v=" << v;
+  inputs.emplace_back("rmat11", std::move(rmat));
+  EdgeList sparse(50000);
+  for (uint32_t i = 0; i < 40; ++i) {
+    sparse.Add(static_cast<VertexId>(rng.NextBounded(50000)),
+               static_cast<VertexId>(rng.NextBounded(50000)), 1.0 + i);
+  }
+  inputs.emplace_back("v_much_greater_than_e", std::move(sparse));
+  inputs.emplace_back("empty", EdgeList());
+  inputs.emplace_back("isolated_vertices_only", EdgeList(1000));
+  EdgeList dups(6);
+  for (uint32_t i = 0; i < 300; ++i) {
+    const VertexId u = static_cast<VertexId>(i % 3), v = static_cast<VertexId>(3 + i % 2);
+    dups.Add(u, v, static_cast<double>(300 - i));
+    if (i % 7 == 0) dups.Add(u, u, -static_cast<double>(i));  // self-loops too
+  }
+  inputs.emplace_back("duplicate_pairs_distinct_weights", std::move(dups));
+  return inputs;
+}
+
+struct CsrBuildConfig {
+  const char* name;
+  bool directed, in_edges, sort;
+};
+
+constexpr CsrBuildConfig kCsrBuildConfigs[] = {
+    {"directed_sorted", true, false, true},
+    {"directed_in_sorted", true, true, true},
+    {"directed_in_unsorted", true, true, false},
+    {"directed_unsorted", true, false, false},
+    {"undirected_sorted", false, false, true},
+    {"undirected_unsorted", false, false, false},
+};
+
+CsrGraph BuildWith(const EdgeList& el, const CsrBuildConfig& c, uint32_t threads) {
+  CsrOptions opts;
+  opts.directed = c.directed;
+  opts.build_in_edges = c.in_edges;
+  opts.sort_neighbors = c.sort;
+  opts.num_threads = threads;
+  // These inputs sit below the serial-fallback cutoff; keep every chunk so
+  // the differential is real.
+  opts.min_parallel_edges = 0;
+  return CsrGraph::FromEdges(el, opts).ValueOrDie();
+}
+
+/// Builds at 2/3/4/8 threads must be bitwise-identical to the one-chunk
+/// build: same offsets, targets, weights, and in-edge index.
+TEST(ParallelCsrBuildTest, BitwiseIdenticalToSerial) {
+  for (const auto& [input, el] : CsrBuildInputs()) {
+    for (const CsrBuildConfig& c : kCsrBuildConfigs) {
+      const CsrGraph serial = BuildWith(el, c, 1);
+      for (uint32_t threads : {2u, 3u, 4u, 8u}) {
+        const CsrGraph parallel = BuildWith(el, c, threads);
+        const std::string where =
+            input + " " + c.name + " threads=" + std::to_string(threads);
+        ASSERT_EQ(parallel.num_vertices(), serial.num_vertices()) << where;
+        EXPECT_EQ(parallel.offsets(), serial.offsets()) << where;
+        EXPECT_EQ(parallel.targets(), serial.targets()) << where;
+        EXPECT_EQ(parallel.weights(), serial.weights()) << where;
+        ASSERT_EQ(parallel.has_in_edges(), serial.has_in_edges()) << where;
+        if (serial.has_in_edges() && serial.directed()) {
+          for (VertexId v = 0; v < serial.num_vertices(); ++v) {
+            auto a = parallel.InNeighbors(v);
+            auto b = serial.InNeighbors(v);
+            ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+                << where << " v=" << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The one-chunk build against an independent adjacency-list oracle: each
+/// vertex's arcs in edge-list order (an undirected edge's reverse arc right
+/// after its forward twin), and when sorted, ordered by (target, weight).
+TEST(ParallelCsrBuildTest, MatchesAdjacencyListOracle) {
+  for (const auto& [input, el] : CsrBuildInputs()) {
+    for (const CsrBuildConfig& c : kCsrBuildConfigs) {
+      const VertexId n = el.num_vertices();
+      std::vector<std::vector<std::pair<VertexId, double>>> out(n), in(n);
+      for (const Edge& e : el.edges()) {
+        out[e.src].emplace_back(e.dst, e.weight);
+        if (!c.directed && e.src != e.dst) out[e.dst].emplace_back(e.src, e.weight);
+        in[e.dst].emplace_back(e.src, e.weight);
+      }
+      for (uint32_t threads : {1u, 3u}) {
+        const CsrGraph g = BuildWith(el, c, threads);
+        const std::string where =
+            input + " " + c.name + " threads=" + std::to_string(threads);
+        ASSERT_EQ(g.num_vertices(), n) << where;
+        for (VertexId v = 0; v < n; ++v) {
+          auto want = out[v];
+          auto want_in = in[v];
+          if (c.sort) {
+            std::sort(want.begin(), want.end());
+            std::sort(want_in.begin(), want_in.end());
+          }
+          auto nbrs = g.OutNeighbors(v);
+          auto ws = g.OutWeights(v);
+          ASSERT_EQ(nbrs.size(), want.size()) << where << " v=" << v;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(nbrs[i], want[i].first) << where << " v=" << v;
+            EXPECT_EQ(ws[i], want[i].second) << where << " v=" << v;
+          }
+          if (c.directed && c.in_edges) {
+            auto in_nbrs = g.InNeighbors(v);
+            ASSERT_EQ(in_nbrs.size(), want_in.size()) << where << " v=" << v;
+            for (size_t i = 0; i < want_in.size(); ++i) {
+              EXPECT_EQ(in_nbrs[i], want_in[i].first) << where << " v=" << v;
+            }
+          }
         }
       }
     }

@@ -4,6 +4,7 @@
 // hang, or corrupt memory. (Run under ASan in CI-like setups.)
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -36,6 +37,7 @@
 #include "stream/incremental_kcore.h"
 #include "stream/incremental_pagerank.h"
 #include "stream/streaming_graph.h"
+#include "text_parse_oracle.h"
 
 namespace ubigraph {
 namespace {
@@ -186,6 +188,206 @@ TEST(FuzzSmokeTest, MatrixMarketHostileCorpusFailsCleanly) {
   EXPECT_TRUE(io::ParseMatrixMarket("%%MatrixMarket matrix coordinate real "
                                     "general\n2 2 2\n1 2 1.0\n1 2 1.0\n")
                   .ok());
+}
+
+// --- Scanner parsers vs the retired getline parsers ---------------------
+
+/// The library parser and its oracle must agree on ok/failure and the
+/// Status, and on success on the vertex count and every edge, weights
+/// compared by bits.
+template <typename ParseFn, typename OracleFn>
+void ExpectMatchesOracle(ParseFn&& parse, OracleFn&& oracle, const std::string& doc) {
+  const Result<EdgeList> got = parse(doc);
+  const Result<EdgeList> want = oracle(doc);
+  const std::string shown = ::testing::PrintToString(doc);
+  ASSERT_EQ(got.ok(), want.ok())
+      << shown << ": " << got.status().ToString() << " vs "
+      << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << shown;
+    EXPECT_EQ(got.status().message(), want.status().message()) << shown;
+    return;
+  }
+  EXPECT_EQ(got->num_vertices(), want->num_vertices()) << shown;
+  ASSERT_EQ(got->num_edges(), want->num_edges()) << shown;
+  for (size_t i = 0; i < want->num_edges(); ++i) {
+    const Edge& a = got->edges()[i];
+    const Edge& b = want->edges()[i];
+    EXPECT_EQ(a.src, b.src) << shown << " edge " << i;
+    EXPECT_EQ(a.dst, b.dst) << shown << " edge " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.weight), std::bit_cast<uint64_t>(b.weight))
+        << shown << " edge " << i;
+  }
+}
+
+/// Weight spellings strtod accepts but std::from_chars rejects or reads
+/// differently, plus its plain decimal forms and near-misses.
+const char* const kWeightSpellings[] = {
+    "3.5",  "+3.5", "-3.5", "0x1p3", "0X1P-2", "inf",   "-inf",    "INFINITY",
+    "nan",  "-nan", "NaN(123)", "1e400", "-1e400", "1e-320", "1e-400", ".5",
+    "5.",   "-.5",  "1e5",  "1E+05", "007",    "-0",    "0.1",     "1e",
+    "1.5e", ".",    "-",    "+",    "0x",    "1_0",   "3.5x",    "infinit",
+};
+
+TEST(TextParserOracleTest, EdgeListHandWrittenCases) {
+  using namespace std::string_literals;
+  std::vector<std::string> docs = {
+      "",
+      "\n\n\n",
+      "0 1\r\n1 2\r\n",
+      "0\t1\n1\v2\f3\n2\r3\n",
+      "   # indented comment\n\t#tab comment\n0 1\n",
+      "1 2 # x\n",
+      "1 2 #\n",
+      "+1 2\n",
+      "1 +2\n",
+      "-0 1\n",
+      "-1 2\n",
+      "4294967295 0\n",
+      "4294967296 0\n",
+      "0 4294967296\n",
+      "99999999999999999999 1\n",
+      "1.0 2\n",
+      "0x1 2\n",
+      "1\n",
+      "1 2 3 4\n",
+      "0 1\n1 2",
+      "#only a comment",
+      "  \n\t\n0 0\n",
+      "0 1 2.5\n3 4\n",
+      "0 1\n2\0 3\n"s,
+      "0\0 1\n"s,
+      "0 1 2\0\n"s,
+      "\0"s,
+  };
+  for (const char* w : kWeightSpellings) {
+    docs.push_back(std::string("0 1 ") + w + "\n");
+  }
+  for (const std::string& doc : docs) {
+    ExpectMatchesOracle(io::ParseEdgeListText, oracle::ParseEdgeListText, doc);
+  }
+}
+
+TEST(TextParserOracleTest, MatrixMarketHandWrittenCases) {
+  using namespace std::string_literals;
+  const std::string real = "%%MatrixMarket matrix coordinate real general\n";
+  std::vector<std::string> docs = {
+      "",
+      "\n",
+      real,
+      real + "3 3 2\n1 2 1.5\n3 1 -2\n",
+      real + "% comment\n  % indented\n\n3 3 1\n% between\n1 2 1.0\n",
+      "%%MatrixMarket matrix coordinate real general\r\n3 3 1\r\n1 2 1.0\r\n",
+      "%%MATRIXMARKET Matrix Coordinate REAL General\n2 2 1\n1 2 4\n",
+      "%%MatrixMarket matrix coordinate real general extra words\n2 2 1\n1 2 4\n",
+      "%%MatrixMarket matrix coordinate\n2 2 1\n1 2 4\n",
+      "%%MatrixMarket matrix array real general\n2 2 1\n1 2 4\n",
+      "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 4\n",
+      "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n1 2 4\n",
+      "%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\n2 3\n",
+      "%%MatrixMarket matrix coordinate integer symmetric\n3 3 2\n2 1 7\n3 3 1\n",
+      "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 2 1\n",
+      real + "2 3 2\n1 3 1\n2 1 2\n",
+      real + "2 2\n",
+      real + "2 2 1 1\n",
+      real + "-1 2 0\n",
+      real + "2 2 -1\n",
+      real + "+2 2 1\n1 2 1\n",
+      real + "4294967295 4294967295 0\n",
+      real + "3 3 5\n1 2 1.0\n",
+      real + "3 3 1\n1 2 1\n2 3 1\n",
+      real + "% nothing\n% at all\n",
+      real + "3 3 1\n4 1 1.0\n",
+      real + "3 3 1\n1 0 1.0\n",
+      "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2 1.0\n",
+      real + "999999999999 2 1\n",
+      real + "0 0 3\n1 1 1.0\n",
+      "%%MatrixMarket matrix coordinate pattern general\n4 4 4000000000000\n1 2\n",
+      real + "2 2 1\n1 2\n",
+      real + "2 2 1\n1.5 2 1\n",
+      real + "2 2 1\n1\t2\v3\n",
+      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\0 3\n"s,
+  };
+  for (const char* w : kWeightSpellings) {
+    docs.push_back(real + "2 2 1\n1 2 " + w + "\n");
+  }
+  for (const std::string& doc : docs) {
+    ExpectMatchesOracle(io::ParseMatrixMarket, oracle::ParseMatrixMarket, doc);
+  }
+}
+
+TEST(TextParserOracleTest, TsvHandWrittenCases) {
+  using namespace std::string_literals;
+  std::vector<std::string> docs = {
+      "",
+      "\n \n",
+      "1\t2\t3.5\n2\t3\t1\n",
+      "1\t2\t3.5\r\n2\t3\t1\r\n",
+      "1 2 3\n",
+      "1\v2\f3\n",
+      "1\t2\t3",
+      "# comment\n1\t2\t1\n",
+      "0\t1\t1\n",
+      "1\t0\t1\n",
+      "+1\t2\t1\n",
+      "-1\t2\t1\n",
+      "4294967295\t1\t1\n",
+      "4294967296\t1\t1\n",
+      "1\t2\n",
+      "1\t2\t3\t4\n",
+      "1\t2\t3\0\n"s,
+  };
+  for (const char* w : kWeightSpellings) {
+    docs.push_back(std::string("1\t2\t") + w + "\n");
+  }
+  for (const std::string& doc : docs) {
+    ExpectMatchesOracle(io::ParseTsvTriples, oracle::ParseTsvTriples, doc);
+  }
+}
+
+/// SeedEdges with distinguishable fractional weights, so mutated documents
+/// also reach the weight parser.
+EdgeList WeightedSeedEdges() {
+  EdgeList el = SeedEdges();
+  for (size_t i = 0; i < el.mutable_edges().size(); ++i) {
+    el.mutable_edges()[i].weight = 0.37 * static_cast<double>(i) - 2.5;
+  }
+  return el;
+}
+
+TEST(TextParserOracleTest, EdgeListFuzzInputs) {
+  uint64_t seed = 101;
+  for (const EdgeList& el : {SeedEdges(), WeightedSeedEdges()}) {
+    FuzzParser(
+        [](const std::string& s) {
+          ExpectMatchesOracle(io::ParseEdgeListText, oracle::ParseEdgeListText, s);
+        },
+        io::WriteEdgeListText(el), seed++);
+  }
+}
+
+TEST(TextParserOracleTest, MatrixMarketFuzzInputs) {
+  uint64_t seed = 111;
+  for (const EdgeList& el : {SeedEdges(), WeightedSeedEdges()}) {
+    for (bool pattern : {false, true}) {
+      FuzzParser(
+          [](const std::string& s) {
+            ExpectMatchesOracle(io::ParseMatrixMarket, oracle::ParseMatrixMarket, s);
+          },
+          io::WriteMatrixMarket(el, pattern), seed++);
+    }
+  }
+}
+
+TEST(TextParserOracleTest, TsvFuzzInputs) {
+  uint64_t seed = 121;
+  for (const EdgeList& el : {SeedEdges(), WeightedSeedEdges()}) {
+    FuzzParser(
+        [](const std::string& s) {
+          ExpectMatchesOracle(io::ParseTsvTriples, oracle::ParseTsvTriples, s);
+        },
+        io::WriteTsvTriples(el), seed++);
+  }
 }
 
 TEST(FuzzSmokeTest, BinaryLyingEdgeCountFailsCleanly) {
