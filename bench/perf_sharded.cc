@@ -4,8 +4,9 @@
 // true out-of-core runs whose records carry peak_segment_bytes (the cache's
 // high-water mark of ADJACENCY bytes) and peak_rss_bytes (the process's
 // getrusage high-water mark) next to the machine-independent work counters.
-// PageRank's work counter is the arcs every worker decoded, so a 4-thread
-// record carries 4x the 1-thread work_items: each worker scans every segment.
+// The work counters are the arcs the workers decoded. Each worker decodes
+// only its own destination columns' blocks of every segment (segment.h), so
+// a 4-thread record carries the same work_items as the 1-thread one.
 //
 // Args convention: {scale, num_shards[, num_threads]}. The /12/ slice feeds
 // ci/perf_smoke.sh; the scale-22 out-of-core rows are the BENCH.json
@@ -201,39 +202,50 @@ void BM_ShardedPageRankOutOfCore(benchmark::State& state) {
 BENCHMARK(BM_ShardedPageRankOutOfCore)->Args({12, 16})->Args({22, 64});
 
 // BFS with per-level segment skipping (shards holding no frontier vertex are
-// never touched); Args = {scale, shards}.
+// never touched); Args = {scale, shards, threads}.
 void BM_ShardedBfs(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const shard::ShardedCsr& s =
       ShardedRmat(scale, static_cast<uint32_t>(state.range(1)));
   const VertexId root = bench::BfsRoot(bench::RmatGraph(scale));
+  shard::ShardedTraversalOptions opts;
+  opts.num_threads = static_cast<uint32_t>(state.range(2));
   bench::WorkProbe work({"shard.bfs.edges_scanned"});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(shard::ShardedBfs(s, root).ValueOrDie());
+    benchmark::DoNotOptimize(shard::ShardedBfs(s, root, opts).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * s.num_edges());
   work.Flush(state);
   state.SetLabel("kernel=bfs mode=sharded graph=rmat" + std::to_string(scale));
-  state.counters["threads"] = 1.0;
+  state.counters["threads"] = static_cast<double>(state.range(2));
 }
-BENCHMARK(BM_ShardedBfs)->Args({12, 16})->Args({22, 64});
+BENCHMARK(BM_ShardedBfs)
+    ->Args({12, 16, 1})
+    ->Args({12, 16, 4})
+    ->Args({22, 64, 1});
 
-// Min-label components with pointer jumping; Args = {scale, shards}.
+// Min-label components with pointer jumping; Args = {scale, shards,
+// threads}.
 void BM_ShardedComponents(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const shard::ShardedCsr& s =
       ShardedRmat(scale, static_cast<uint32_t>(state.range(1)));
+  shard::ShardedTraversalOptions opts;
+  opts.num_threads = static_cast<uint32_t>(state.range(2));
   bench::WorkProbe work({"shard.cc.edges_scanned"});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(shard::ShardedComponents(s).ValueOrDie());
+    benchmark::DoNotOptimize(shard::ShardedComponents(s, opts).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * s.num_edges());
   work.Flush(state);
   state.SetLabel("kernel=components mode=sharded graph=rmat" +
                  std::to_string(scale));
-  state.counters["threads"] = 1.0;
+  state.counters["threads"] = static_cast<double>(state.range(2));
 }
-BENCHMARK(BM_ShardedComponents)->Args({12, 16})->Args({22, 64});
+BENCHMARK(BM_ShardedComponents)
+    ->Args({12, 16, 1})
+    ->Args({12, 16, 4})
+    ->Args({22, 64, 1});
 
 }  // namespace
 }  // namespace ubigraph

@@ -1,9 +1,12 @@
 #include "shard/segment.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/crc32.h"
 #include "common/status.h"
+#include "graph/compressed_csr.h"
 
 namespace ubigraph::shard {
 namespace {
@@ -18,34 +21,35 @@ void AppendArray(std::string& out, const T* p, size_t n) {
   out.append(reinterpret_cast<const char*>(p), n * sizeof(T));
 }
 
-/// Checks one compressed row's byte span without decoding values: exactly
-/// `degree` varint terminators (bytes with the continuation bit clear), no
-/// varint longer than 5 bytes (a u32 gap never needs more), and the span
-/// ends on a terminator. Together these guarantee the block decoder consumes
-/// exactly this span — no out-of-bounds read, no shift past 64 bits — for
-/// ANY byte content, so structurally-valid hostile files are safe to scan.
-Status CheckVarintRow(const uint8_t* bytes, uint64_t len, uint32_t degree,
-                      VertexId row) {
-  uint64_t terminators = 0;
-  uint32_t run = 0;  // continuation bytes since the last terminator
-  for (uint64_t i = 0; i < len; ++i) {
-    if (bytes[i] & 0x80) {
-      if (++run > 4) {
-        return Status::Corruption("segment decode: varint longer than 5 bytes "
-                                  "in row " + std::to_string(row));
-      }
-    } else {
-      ++terminators;
-      run = 0;
-    }
+/// One bit per byte of the little-endian word `w`, in memory order: bit i
+/// is byte i's continuation (high) bit. The multiply gathers the eight
+/// flags into the top byte without carries.
+inline uint64_t ContinuationBits(uint64_t w) {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
   }
-  if (terminators != degree || (len > 0 && (bytes[len - 1] & 0x80))) {
-    return Status::Corruption(
-        "segment decode: varint stream of row " + std::to_string(row) +
-        " does not hold exactly its declared degree (" +
-        std::to_string(degree) + " ids in " + std::to_string(len) + " bytes)");
+  return (((w >> 7) & 0x0101010101010101ull) * 0x0102040810204080ull) >> 56;
+}
+
+/// Nonzero when `m` holds five consecutive set bits: five continuation bytes
+/// in a row, a varint longer than 5 bytes.
+inline uint64_t RunOfFive(uint64_t m) {
+  return m & (m >> 1) & (m >> 2) & (m >> 3) & (m >> 4);
+}
+
+/// The column holding id v < column_begin.back(): the last t with
+/// column_begin[t] <= v. A branch-free binary search — on power-law rows
+/// std::upper_bound's mispredictions took over a third of the encode time.
+uint32_t ColumnOf(std::span<const VertexId> column_begin, VertexId v) {
+  const VertexId* base = column_begin.data();
+  for (size_t n = column_begin.size() - 1; n > 1; n -= n / 2) {
+    base = base[n / 2] <= v ? base + n / 2 : base;
   }
-  return Status::OK();
+  return static_cast<uint32_t>(base - column_begin.data());
+}
+
+Status SegmentCorruption(const std::string& what) {
+  return Status::Corruption("segment decode: " + what);
 }
 
 }  // namespace
@@ -54,62 +58,145 @@ const char* SegmentEncodingName(SegmentEncoding e) {
   return e == SegmentEncoding::kPlain ? "plain" : "compressed";
 }
 
-std::string EncodeSegment(uint32_t shard_id, uint32_t num_shards,
-                          VertexId num_vertices_global, VertexId begin,
-                          VertexId end, std::span<const uint64_t> row_offsets,
+Status SegmentView::BadEntry(uint32_t t, const char* what) const {
+  return Status::Corruption("segment " + std::to_string(shard_id) + " block " +
+                            std::to_string(t) + ": " + what);
+}
+
+std::string EncodeSegment(uint32_t shard_id,
+                          std::span<const VertexId> column_begin,
+                          std::span<const uint64_t> row_offsets,
                           std::span<const VertexId> targets,
                           SegmentEncoding encoding) {
-  const uint64_t count = end - begin;
+  const uint32_t S = static_cast<uint32_t>(column_begin.size() - 1);
+  const VertexId begin = column_begin[shard_id];
+  const VertexId end = column_begin[shard_id + 1];
+  const bool compressed = encoding == SegmentEncoding::kCompressed;
+
+  // Each block's entry headers and ids, as two streams, each first sized
+  // for an even share of the segment's arcs so most never grow.
+  std::vector<std::vector<uint8_t>> headers(S), ids(S);
+  const size_t share = targets.size() / S + 1;
+  std::vector<VertexId> base(S, 0);  // row each block's next delta is from
+  std::vector<VertexId> sorted;      // an unsorted row, sorted
+  uint64_t entries = 0;
+  for (VertexId u = 0; u < end - begin; ++u) {
+    std::span<const VertexId> row =
+        targets.subspan(row_offsets[u], row_offsets[u + 1] - row_offsets[u]);
+    if (!std::is_sorted(row.begin(), row.end())) {
+      sorted.assign(row.begin(), row.end());
+      std::sort(sorted.begin(), sorted.end());
+      row = sorted;
+    }
+    // A sorted row splits into one run of ids per column it touches.
+    for (size_t i = 0; i < row.size();) {
+      const uint32_t t = ColumnOf(column_begin, row[i]);
+      size_t j = i + 1;
+      while (j < row.size() && row[j] < column_begin[t + 1]) ++j;
+      if (headers[t].empty()) {
+        headers[t].reserve(2 * share);
+        ids[t].reserve((compressed ? 2 : sizeof(VertexId)) * share);
+      }
+      AppendVarint(headers[t], u - base[t]);
+      base[t] = u;
+      std::vector<uint8_t>& out = ids[t];
+      if (compressed) {
+        const size_t start = out.size();
+        VertexId prev = column_begin[t];
+        for (size_t k = i; k < j; ++k) {
+          AppendVarint(out, row[k] - prev);
+          prev = row[k];
+        }
+        AppendVarint(headers[t], out.size() - start);
+      } else {
+        AppendVarint(headers[t], j - i);
+        const auto* raw = reinterpret_cast<const uint8_t*>(row.data() + i);
+        out.insert(out.end(), raw, raw + (j - i) * sizeof(VertexId));
+      }
+      ++entries;
+      i = j;
+    }
+  }
+  // Block t is varint(header bytes), its entry headers, then its ids.
+  std::vector<std::vector<uint8_t>> prefix(S);
+  std::vector<uint64_t> block_offsets(static_cast<size_t>(S) + 1, 0);
+  for (uint32_t t = 0; t < S; ++t) {
+    if (!headers[t].empty()) AppendVarint(prefix[t], headers[t].size());
+    block_offsets[t + 1] = block_offsets[t] + prefix[t].size() +
+                           headers[t].size() + ids[t].size();
+  }
+
   SegmentHeader h;
   std::memcpy(h.magic, kSegmentMagic, sizeof h.magic);
-  h.flags = encoding == SegmentEncoding::kCompressed ? kSegmentFlagCompressed : 0;
+  h.flags = compressed ? kSegmentFlagCompressed : 0;
   h.shard_id = shard_id;
-  h.num_shards = num_shards;
-  h.num_vertices = num_vertices_global;
+  h.num_shards = S;
+  h.num_vertices = column_begin[S];
   h.vertex_begin = begin;
   h.vertex_end = end;
   h.num_edges = targets.size();
+  h.num_entries = entries;
+  h.payload_bytes = (static_cast<uint64_t>(S) + 1) *
+                        (sizeof(uint64_t) + sizeof(VertexId)) +
+                    block_offsets[S];
 
   std::string out;
-  if (encoding == SegmentEncoding::kPlain) {
-    h.payload_bytes =
-        (count + 1) * sizeof(uint64_t) + targets.size() * sizeof(VertexId);
-    out.reserve(sizeof h + h.payload_bytes + sizeof(uint32_t));
-    AppendPod(out, h);
-    AppendArray(out, row_offsets.data(), count + 1);
-    AppendArray(out, targets.data(), targets.size());
-  } else {
-    std::vector<uint64_t> byte_offsets(count + 1, 0);
-    std::vector<uint32_t> degrees(count);
-    std::vector<uint8_t> bytes;
-    bytes.reserve(targets.size() * 2);
-    for (uint64_t u = 0; u < count; ++u) {
-      degrees[u] = static_cast<uint32_t>(row_offsets[u + 1] - row_offsets[u]);
-      AppendGapEncodedRow(bytes, targets.subspan(row_offsets[u], degrees[u]));
-      byte_offsets[u + 1] = bytes.size();
-    }
-    h.payload_bytes = (count + 1) * sizeof(uint64_t) +
-                      count * sizeof(uint32_t) + bytes.size();
-    out.reserve(sizeof h + h.payload_bytes + sizeof(uint32_t));
-    AppendPod(out, h);
-    AppendArray(out, byte_offsets.data(), byte_offsets.size());
-    AppendArray(out, degrees.data(), degrees.size());
-    AppendArray(out, bytes.data(), bytes.size());
+  out.reserve(sizeof h + h.payload_bytes + sizeof(uint32_t));
+  AppendPod(out, h);
+  AppendArray(out, block_offsets.data(), block_offsets.size());
+  AppendArray(out, column_begin.data(), column_begin.size());
+  for (uint32_t t = 0; t < S; ++t) {
+    AppendArray(out, prefix[t].data(), prefix[t].size());
+    AppendArray(out, headers[t].data(), headers[t].size());
+    AppendArray(out, ids[t].data(), ids[t].size());
   }
   AppendPod(out, Crc32(out.data(), out.size()));
   return out;
 }
 
+Result<uint64_t> CountVarints(std::span<const uint8_t> bytes) {
+  const uint8_t* p = bytes.data();
+  const size_t n = bytes.size();
+  uint64_t continuations = 0, overlong = 0, prev = 0;
+  // Folds 64 bytes of continuation bits: runs inside them, then runs that
+  // straddle the previous 64 (at most 4 bytes fall on either side).
+  auto fold = [&](const uint8_t* chunk) {
+    uint64_t mask = 0;
+    for (int k = 0; k < 8; ++k) {
+      uint64_t w;
+      std::memcpy(&w, chunk + 8 * k, sizeof w);
+      mask |= ContinuationBits(w) << (8 * k);
+    }
+    continuations += std::popcount(mask);
+    overlong |= RunOfFive(mask) | RunOfFive((prev >> 60) | ((mask & 0xf) << 4));
+    prev = mask;
+  };
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) fold(p + i);
+  if (i < n) {
+    uint8_t tail[64] = {};  // zero padding: terminators, never continuations
+    std::memcpy(tail, p + i, n - i);
+    fold(tail);
+  }
+  if (overlong != 0) {
+    return SegmentCorruption("varint longer than 5 bytes");
+  }
+  if (n > 0 && (p[n - 1] & 0x80)) {
+    return SegmentCorruption("varint stream ends inside a varint");
+  }
+  return n - continuations;
+}
+
 Result<SegmentView> DecodeSegment(std::span<const uint8_t> data, bool verify) {
   if (data.size() < sizeof(SegmentHeader) + sizeof(uint32_t)) {
-    return Status::Corruption(
-        "segment decode: " + std::to_string(data.size()) +
+    return SegmentCorruption(
+        std::to_string(data.size()) +
         " bytes is shorter than the 64-byte header plus checksum");
   }
   if (reinterpret_cast<uintptr_t>(data.data()) % alignof(uint64_t) != 0) {
     return Status::Invalid(
-        "segment decode: buffer must be 8-byte aligned for zero-copy offset "
-        "views (heap allocations and mmap pages are)");
+        "segment decode: buffer must be 8-byte aligned for zero-copy "
+        "directory views (heap allocations and mmap pages are)");
   }
   SegmentHeader h;
   std::memcpy(&h, data.data(), sizeof h);
@@ -126,19 +213,29 @@ Result<SegmentView> DecodeSegment(std::span<const uint8_t> data, bool verify) {
     return Status::Invalid("segment decode: unknown flag bits 0x" +
                            std::to_string(h.flags));
   }
+  if (h.num_shards == 0 || h.shard_id >= h.num_shards) {
+    return SegmentCorruption("shard " + std::to_string(h.shard_id) + " of " +
+                             std::to_string(h.num_shards));
+  }
   if (h.vertex_begin > h.vertex_end || h.vertex_end > h.num_vertices) {
-    return Status::Corruption("segment decode: vertex range [" +
-                              std::to_string(h.vertex_begin) + ", " +
-                              std::to_string(h.vertex_end) +
-                              ") inconsistent with graph vertex count " +
-                              std::to_string(h.num_vertices));
+    return SegmentCorruption("vertex range [" + std::to_string(h.vertex_begin) +
+                             ", " + std::to_string(h.vertex_end) +
+                             ") inconsistent with graph vertex count " +
+                             std::to_string(h.num_vertices));
   }
   if (h.payload_bytes !=
       data.size() - sizeof(SegmentHeader) - sizeof(uint32_t)) {
-    return Status::Corruption(
-        "segment decode: header claims " + std::to_string(h.payload_bytes) +
+    return SegmentCorruption(
+        "header claims " + std::to_string(h.payload_bytes) +
         " payload bytes but the file holds " +
         std::to_string(data.size() - sizeof(SegmentHeader) - sizeof(uint32_t)));
+  }
+  // Sized by division, never by multiplying the header's shard count.
+  const uint64_t S = h.num_shards;
+  constexpr uint64_t kDirBytes = sizeof(uint64_t) + sizeof(VertexId);
+  if (S + 1 > h.payload_bytes / kDirBytes) {
+    return SegmentCorruption("payload too small for a " + std::to_string(S) +
+                             "-block directory");
   }
   if (verify) {
     uint32_t stored;
@@ -146,107 +243,103 @@ Result<SegmentView> DecodeSegment(std::span<const uint8_t> data, bool verify) {
                 sizeof stored);
     const uint32_t actual = Crc32(data.data(), data.size() - sizeof stored);
     if (stored != actual) {
-      return Status::Corruption("segment decode: checksum mismatch (stored " +
-                                std::to_string(stored) + ", computed " +
-                                std::to_string(actual) + ")");
+      return SegmentCorruption("checksum mismatch (stored " +
+                               std::to_string(stored) + ", computed " +
+                               std::to_string(actual) + ")");
     }
   }
 
   const uint8_t* payload = data.data() + sizeof(SegmentHeader);
-  const uint64_t count = h.vertex_end - h.vertex_begin;
-  const uint64_t offsets_bytes = (count + 1) * sizeof(uint64_t);
-  if (h.payload_bytes < offsets_bytes) {
-    return Status::Corruption(
-        "segment decode: payload too small for the row-offset array");
-  }
-
   SegmentView v;
   v.shard_id = h.shard_id;
+  v.num_shards = h.num_shards;
   v.num_vertices = h.num_vertices;
   v.begin = static_cast<VertexId>(h.vertex_begin);
   v.end = static_cast<VertexId>(h.vertex_end);
-  v.num_edges = h.num_edges;
-  v.offsets = reinterpret_cast<const uint64_t*>(payload);
-  for (uint64_t u = 0; u < count; ++u) {
-    if (v.offsets[u] > v.offsets[u + 1]) {
-      return Status::Corruption("segment decode: row offsets not ascending at "
-                                "row " + std::to_string(u));
+  v.encoding = (h.flags & kSegmentFlagCompressed) ? SegmentEncoding::kCompressed
+                                                  : SegmentEncoding::kPlain;
+  v.block_offsets = reinterpret_cast<const uint64_t*>(payload);
+  v.column_begin =
+      reinterpret_cast<const VertexId*>(payload + (S + 1) * sizeof(uint64_t));
+  v.blocks = payload + (S + 1) * kDirBytes;
+  const uint64_t area = h.payload_bytes - (S + 1) * kDirBytes;
+
+  if (v.block_offsets[0] != 0 || v.block_offsets[S] != area) {
+    return SegmentCorruption("block directory does not span the " +
+                             std::to_string(area) + "-byte block area");
+  }
+  for (uint64_t t = 0; t < S; ++t) {
+    if (v.block_offsets[t] > v.block_offsets[t + 1]) {
+      return SegmentCorruption("block directory not ascending at block " +
+                               std::to_string(t));
     }
   }
-  if (v.offsets[0] != 0) {
-    return Status::Corruption("segment decode: row offsets must start at 0");
+  if (v.column_begin[0] != 0 || v.column_begin[S] != h.num_vertices ||
+      v.column_begin[h.shard_id] != v.begin ||
+      v.column_begin[h.shard_id + 1] != v.end) {
+    return SegmentCorruption(
+        "column boundaries must run from 0 to the vertex count, with the "
+        "segment's own column equal to its rows");
+  }
+  for (uint64_t t = 0; t < S; ++t) {
+    if (v.column_begin[t] > v.column_begin[t + 1]) {
+      return SegmentCorruption("column boundaries not ascending at block " +
+                               std::to_string(t));
+    }
   }
 
-  if ((h.flags & kSegmentFlagCompressed) == 0) {
-    v.encoding = SegmentEncoding::kPlain;
-    // Derive the edge count from the real payload size (division, never a
-    // multiply of the attacker-controlled header field): num_edges around
-    // 2^62 would make `num_edges * sizeof(VertexId)` wrap u64 and pass a
-    // product-based size check, letting offsets/targets index far out of
-    // bounds. payload_bytes itself is already pinned to the file size above.
-    const uint64_t targets_bytes = h.payload_bytes - offsets_bytes;
-    if (targets_bytes % sizeof(VertexId) != 0 ||
-        h.num_edges != targets_bytes / sizeof(VertexId) ||
-        v.offsets[count] != h.num_edges) {
-      return Status::Corruption(
-          "segment decode: plain payload size does not match the header's "
-          "edge count");
-    }
-    v.targets = reinterpret_cast<const VertexId*>(payload + offsets_bytes);
-    if (verify) {
-      for (uint64_t e = 0; e < h.num_edges; ++e) {
-        if (v.targets[e] >= h.num_vertices) {
-          return Status::Corruption(
-              "segment decode: target id " + std::to_string(v.targets[e]) +
-              " out of range for " + std::to_string(h.num_vertices) +
-              " vertices");
-        }
+  // Every entry spends at least two header bytes and every id at least one
+  // byte (four when plain): header counts the area cannot hold are lies,
+  // caught by division before anything multiplies them.
+  const uint64_t id_bytes =
+      v.encoding == SegmentEncoding::kPlain ? sizeof(VertexId) : 1;
+  if (h.num_entries > area / 2 || h.num_edges > area / id_bytes) {
+    return SegmentCorruption(
+        "header counts of " + std::to_string(h.num_entries) + " entries and " +
+        std::to_string(h.num_edges) + " ids exceed the " +
+        std::to_string(area) + "-byte block area");
+  }
+  if (v.encoding == SegmentEncoding::kCompressed) {
+    // Every varint — entry headers and ids alike — ends within 5 bytes and
+    // inside its block, which is what the block scanner's decoder assumes.
+    UG_ASSIGN_OR_RETURN(const uint64_t varints, CountVarints({v.blocks, area}));
+    uint64_t filled = 0;  // non-empty blocks, each led by its header length
+    for (uint64_t t = 0; t < S; ++t) {
+      const uint64_t b = v.block_offsets[t], e = v.block_offsets[t + 1];
+      if (b == e) continue;
+      ++filled;
+      if (v.blocks[e - 1] & 0x80) {
+        return SegmentCorruption("block " + std::to_string(t) +
+                                 " ends inside a varint");
       }
     }
-    return v;
+    if (varints != filled + 2 * h.num_entries + h.num_edges) {
+      return SegmentCorruption(
+          std::to_string(varints) + " varints do not hold " +
+          std::to_string(filled) + " block headers, " +
+          std::to_string(h.num_entries) + " two-varint entry headers and " +
+          std::to_string(h.num_edges) + " ids");
+    }
   }
 
-  v.encoding = SegmentEncoding::kCompressed;
-  const uint64_t degrees_bytes = count * sizeof(uint32_t);
-  if (h.payload_bytes < offsets_bytes + degrees_bytes) {
-    return Status::Corruption(
-        "segment decode: payload too small for the degree array");
-  }
-  v.degrees = reinterpret_cast<const uint32_t*>(payload + offsets_bytes);
-  v.bytes = payload + offsets_bytes + degrees_bytes;
-  const uint64_t bytes_len = h.payload_bytes - offsets_bytes - degrees_bytes;
-  if (v.offsets[count] != bytes_len) {
-    return Status::Corruption(
-        "segment decode: byte offsets do not span the varint stream (" +
-        std::to_string(v.offsets[count]) + " vs " + std::to_string(bytes_len) +
-        " bytes)");
-  }
-  uint64_t degree_sum = 0;
-  for (uint64_t u = 0; u < count; ++u) {
-    UG_RETURN_NOT_OK(CheckVarintRow(v.bytes + v.offsets[u],
-                                    v.offsets[u + 1] - v.offsets[u],
-                                    v.degrees[u], static_cast<VertexId>(u)));
-    degree_sum += v.degrees[u];
-  }
-  if (degree_sum != h.num_edges) {
-    return Status::Corruption("segment decode: degree sum " +
-                              std::to_string(degree_sum) +
-                              " does not match the header's edge count " +
-                              std::to_string(h.num_edges));
-  }
   if (verify) {
-    // Decode once and bound every id. Gap accumulation can wrap u32 on
-    // hostile streams, so monotonicity cannot be assumed: check each id.
-    for (uint64_t u = 0; u < count; ++u) {
-      for (VertexId t : CompressedCsrGraph::NeighborRange(
-               v.bytes + v.offsets[u], v.degrees[u])) {
-        if (t >= h.num_vertices) {
-          return Status::Corruption(
-              "segment decode: decoded target id " + std::to_string(t) +
-              " out of range for " + std::to_string(h.num_vertices) +
-              " vertices");
+    uint64_t entries = 0, ids = 0;
+    for (uint32_t t = 0; t < S; ++t) {
+      UG_RETURN_NOT_OK(v.ScanBlock<true>(
+          t, v.column_begin[t], v.column_begin[t + 1], [&](VertexId, auto row) {
+        ++entries;
+        for (VertexId id : row) {
+          (void)id;
+          ++ids;
         }
-      }
+      }));
+    }
+    if (entries != h.num_entries || ids != h.num_edges) {
+      return SegmentCorruption(
+          "blocks hold " + std::to_string(entries) + " entries and " +
+          std::to_string(ids) + " ids; the header says " +
+          std::to_string(h.num_entries) + " and " +
+          std::to_string(h.num_edges));
     }
   }
   return v;

@@ -167,20 +167,28 @@ Result<SegmentCache::Pin> SegmentCache::Acquire(uint32_t shard) {
     if (record) counters_->hits->Increment();
   } else {
     if (record) counters_->misses->Increment();
-    // Make room first: evict least-recently-used unpinned segments until the
-    // new load fits the budget or nothing evictable remains (then load
+    // Make room first: evict (per the header's sweep-aware policy) until
+    // the new load fits the budget or nothing evictable remains (then load
     // anyway — a stalled kernel is worse than a transient overshoot).
     while (options_.budget_bytes != 0 &&
            resident_bytes_ + e.size > options_.budget_bytes) {
-      uint32_t victim = std::numeric_limits<uint32_t>::max();
-      uint64_t oldest = std::numeric_limits<uint64_t>::max();
-      for (uint32_t s = 0; s < entries_.size(); ++s) {
-        const Entry& c = entries_[s];
-        if (c.loaded && c.pins == 0 && c.map_addr != nullptr &&
-            c.lru_stamp < oldest) {
-          victim = s;
-          oldest = c.lru_stamp;
+      uint32_t lowest_pinned = num_segments();
+      for (uint32_t s = 0; s < num_segments(); ++s) {
+        if (entries_[s].pins > 0) {
+          lowest_pinned = s;
+          break;
         }
+      }
+      auto highest_evictable_below = [&](uint32_t bound) {
+        for (uint32_t s = bound; s-- > 0;) {
+          const Entry& c = entries_[s];
+          if (c.loaded && c.pins == 0 && c.map_addr != nullptr) return s;
+        }
+        return std::numeric_limits<uint32_t>::max();
+      };
+      uint32_t victim = highest_evictable_below(lowest_pinned);
+      if (victim == std::numeric_limits<uint32_t>::max()) {
+        victim = highest_evictable_below(num_segments());
       }
       if (victim == std::numeric_limits<uint32_t>::max()) {
         if (record) counters_->over_budget->Increment();
@@ -195,7 +203,6 @@ Result<SegmentCache::Pin> SegmentCache::Acquire(uint32_t shard) {
     }
   }
   ++e.pins;
-  e.lru_stamp = ++lru_clock_;
   return Pin(this, shard, &e.view);
 }
 

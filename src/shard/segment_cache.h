@@ -5,8 +5,20 @@
 //   FromFiles + kResident — whole files read into heap buffers at open;
 //                 always resident (the "RAM is big enough" path).
 //   FromFiles + kMapped   — files mmap'ed lazily per Acquire under a byte
-//                 budget; least-recently-used unpinned segments are unmapped
-//                 to stay within it (the out-of-core path).
+//                 budget; unpinned segments are unmapped to stay within it
+//                 (the out-of-core path), scan-resistantly: see below.
+//
+// Eviction. Every kernel sweeps the segments in ascending shard order, its
+// workers side by side, each pinning the segment it reads. Least-recently-
+// used eviction evicts exactly the segment the next sweep needs first, so a
+// budget of k of N segments misses all N on every sweep. The victim here is
+// instead the highest-numbered unpinned segment below every pinned one —
+// every running sweep has passed it and the next sweep reaches it last —
+// and, when no segment lies below the pins, the highest-numbered unpinned
+// one, which the running sweeps reach last. For a lone sweep that is the
+// segment it just released (most-recently-used eviction), and the budget
+// keeps k - 1 segments from one sweep to the next; unlike plain MRU it never
+// evicts a segment that a slower worker of the same sweep has yet to read.
 //
 // Acquire(shard) returns an RAII Pin whose SegmentView stays valid until the
 // Pin drops; pinned segments are never evicted, so a kernel can hold its
@@ -16,9 +28,10 @@
 // bytes — the OS page cache may keep more, the standard semi-external caveat.
 //
 // Integrity: segment headers are probed at open (magic / version / size), and
-// the full CRC + target-id check runs once per file on its first load; later
-// re-loads after eviction repeat only the structural checks that keep the
-// decoders in bounds.
+// full verification (CRC and a strict walk of every entry and id) runs once
+// per file on its first load; later re-loads after eviction repeat only the
+// O(S) + word-speed structural checks (DecodeSegment), and the block scans
+// check every entry and id they read.
 //
 // Thread safety: Acquire and Pin release are safe from any thread. Loads run
 // under the cache mutex — concurrent misses serialize, which is the behavior
@@ -40,7 +53,7 @@ namespace ubigraph::shard {
 /// Where FromFiles keeps segment bytes.
 enum class SegmentStorage : uint8_t {
   kResident = 0,  ///< eager heap buffers, never evicted
-  kMapped = 1,    ///< lazy mmap under the byte budget, LRU-evicted
+  kMapped = 1,    ///< lazy mmap under the byte budget, sweep-aware eviction
 };
 
 class SegmentCache {
@@ -106,9 +119,8 @@ class SegmentCache {
   uint64_t resident_bytes() const;
   /// High-water mark of resident_bytes over this cache's lifetime — the
   /// number perf_sharded reports as peak_segment_bytes. This counts SEGMENT
-  /// bytes only (mapped or heap-resident adjacency); kernel scratch such as
-  /// the per-(worker, dst-shard) message buffers (~12 B per scanned edge per
-  /// iteration, see shard_kernels.h) is separate heap the cache cannot see.
+  /// bytes only (mapped or heap-resident adjacency); the kernels' O(V)
+  /// vertex state (shard_kernels.h) is separate heap the cache cannot see.
   uint64_t peak_segment_bytes() const;
 
  private:
@@ -119,9 +131,8 @@ class SegmentCache {
     void* map_addr = nullptr;  // non-null while mmap'ed
     SegmentView view;
     bool loaded = false;
-    bool verified = false;  // full CRC + id-range check already ran
+    bool verified = false;  // full CRC + entry walk already ran
     uint32_t pins = 0;
-    uint64_t lru_stamp = 0;
   };
 
   SegmentCache() = default;
@@ -136,7 +147,6 @@ class SegmentCache {
   std::vector<Entry> entries_;
   uint64_t resident_bytes_ = 0;
   uint64_t peak_resident_bytes_ = 0;
-  uint64_t lru_clock_ = 0;
 
   // Handles looked up once at construction; recorded only when obs::Enabled().
   struct Counters;

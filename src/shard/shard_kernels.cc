@@ -14,10 +14,11 @@ namespace ubigraph::shard {
 namespace {
 
 /// Contiguous ascending destination ownership: worker w owns shards
-/// [w*per, (w+1)*per) and every per-vertex accumulator in their vertex range.
-/// Each worker scans all segments in ascending order, so every destination is
-/// folded by one worker in one global ascending source sweep — the serial
-/// push association.
+/// [w*per, (w+1)*per) — the grid columns [lo(w), hi(w)) — and every
+/// per-vertex accumulator in their vertex range. Each worker reads only its
+/// own columns' blocks, segment by ascending segment, so every destination
+/// is folded by one worker in one global ascending source sweep — the
+/// serial push association — and every arc is decoded once.
 struct ShardPlan {
   uint32_t num_shards;
   unsigned workers;
@@ -66,8 +67,7 @@ Result<ShardedPageRankResult> ShardedPageRank(
   const std::span<const double> inv_outdeg = g.InvOutDegrees(W);
 
   std::vector<double> rank(n, tp), next(n);
-  // Arcs each worker decoded. Every worker that owns destinations scans every
-  // segment, so with W such workers an iteration streams W x E arcs.
+  // Arcs each worker decoded: its columns' in-arcs, so E per iteration.
   std::vector<uint64_t> worker_scanned(W, 0);
 
   ShardedPageRankResult result;
@@ -82,36 +82,32 @@ Result<ShardedPageRankResult> ShardedPageRank(
     const double base = (1.0 - d) * tp + d * dangling * tp;
 
     // Destination-owned fused scatter/apply: worker w owns next[] over its
-    // shard block, seeds it with base, and folds contributions for its own
-    // destinations while scanning ALL segments in ascending order — each
-    // next[v] is built by one worker in globally ascending source order,
-    // i.e. the serial push association, with zero message buffering.
+    // columns, seeds it with base, and folds in its own blocks of every
+    // segment in ascending order — each next[v] is built by one worker in
+    // globally ascending source order, i.e. the serial push association,
+    // with zero message buffering.
     UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
       const VertexId db = g.shard_begin(plan.lo(w));
       const VertexId de = g.shard_begin(plan.hi(w));
       if (db == de) return Status::OK();
       for (VertexId v = db; v < de; ++v) next[v] = base;
-      const bool owns_all = db == 0 && de == n;
+      uint64_t arcs = 0;
+      auto fold = [&](VertexId u, auto ids) {
+        const double contrib = d * rank[u] * inv_outdeg[u];
+        for (VertexId v : ids) {
+          next[v] += contrib;
+          ++arcs;
+        }
+      };
       for (uint32_t s = 0; s < S; ++s) {
         UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
         const SegmentView& view = pin.view();
-        worker_scanned[w] += view.num_edges;
-        if (owns_all) {
-          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            if (inv_outdeg[u] == 0.0) return;
-            const double contrib = d * rank[u] * inv_outdeg[u];
-            for (VertexId v : nbrs) next[v] += contrib;
-          });
-        } else {
-          view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-            if (inv_outdeg[u] == 0.0) return;
-            const double contrib = d * rank[u] * inv_outdeg[u];
-            for (VertexId v : nbrs) {
-              if (v >= db && v < de) next[v] += contrib;
-            }
-          });
+        for (uint32_t t = plan.lo(w); t < plan.hi(w); ++t) {
+          UG_RETURN_NOT_OK(view.ScanBlock(t, g.shard_begin(t),
+                                          g.shard_begin(t + 1), fold));
         }
       }
+      worker_scanned[w] += arcs;
       return Status::OK();
     }));
 
@@ -172,26 +168,30 @@ Result<std::vector<uint32_t>> ShardedBfs(
       const VertexId de = g.shard_begin(shi);
       if (db == de) return Status::OK();
       std::fill(next_f.begin() + db, next_f.begin() + de, 0);
-      for (uint32_t t = slo; t < shi; ++t) next_active[t] = 0;
+      std::fill(next_active.begin() + slo, next_active.begin() + shi, 0);
       uint64_t scanned = 0;
+      uint32_t t = 0;  // the column being scanned
+      // Each frontier arc is decoded once, by the owner of its column; a
+      // non-frontier row is stepped over on its entry header.
+      auto expand = [&](VertexId u, auto ids) {
+        if (!cur_f[u]) return;
+        for (VertexId v : ids) {
+          ++scanned;
+          if (dist[v] == algo::kUnreachable) {
+            dist[v] = level + 1;
+            next_f[v] = 1;
+            ++next_active[t];
+          }
+        }
+      };
       for (uint32_t s = 0; s < S; ++s) {
         if (active[s] == 0) continue;
         UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
         const SegmentView& view = pin.view();
-        // Each frontier edge is counted once, by the worker that owns its
-        // SOURCE shard (every worker scans every active segment here).
-        const bool count_rows = s >= slo && s < shi;
-        view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-          if (!cur_f[u]) return;
-          if (count_rows) scanned += nbrs.size();
-          for (VertexId v : nbrs) {
-            if (v >= db && v < de && dist[v] == algo::kUnreachable) {
-              dist[v] = level + 1;
-              next_f[v] = 1;
-              ++next_active[g.shard_of(v)];
-            }
-          }
-        });
+        for (t = slo; t < shi; ++t) {
+          UG_RETURN_NOT_OK(view.ScanBlock(t, g.shard_begin(t),
+                                          g.shard_begin(t + 1), expand));
+        }
       }
       worker_edges[w] += scanned;
       return Status::OK();
@@ -230,42 +230,64 @@ Result<algo::ComponentResult> ShardedComponents(
   std::vector<uint32_t> cur(n), next(n);
   for (VertexId v = 0; v < n; ++v) cur[v] = v;
 
-  // Arcs each worker decoded, as in ShardedPageRank.
+  // Arcs each worker decoded: its columns' in-arcs for the forward messages
+  // plus its own rows' out-arcs for the reverse ones, at most 2E a round.
   std::vector<uint64_t> worker_scanned(W, 0);
   uint32_t rounds = 0;
 
   while (true) {
-    // Destination-owned fold: the owner seeds next[v] with the pointer
-    // jump, then every worker scanning a row u min-merges label_u into its
-    // OWN destinations, and u's owner min-merges the row minimum into
-    // next[u]. Min commutes, so the round equals the serial Jacobi round.
+    // Destination-owned fold: the owner seeds next[v] with the pointer jump,
+    // folds label_u into v over its columns of every segment (forward), and
+    // folds the row minimum into next[u] over every block of its own
+    // segments (reverse); a block in both sets is decoded once for both.
+    // Min commutes, so the round equals the serial Jacobi round.
     UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
-      const VertexId db = g.shard_begin(plan.lo(w));
-      const VertexId de = g.shard_begin(plan.hi(w));
+      const uint32_t lo = plan.lo(w), hi = plan.hi(w);
+      const VertexId db = g.shard_begin(lo);
+      const VertexId de = g.shard_begin(hi);
       if (db == de) return Status::OK();
       for (VertexId v = db; v < de; ++v) {
         next[v] = std::min(cur[v], cur[cur[v]]);
       }
+      uint64_t arcs = 0;
+      auto forward = [&](VertexId u, auto ids) {
+        const uint32_t label_u = cur[u];
+        for (VertexId v : ids) {
+          next[v] = std::min(next[v], label_u);
+          ++arcs;
+        }
+      };
+      auto reverse = [&](VertexId u, auto ids) {
+        uint32_t best = UINT32_MAX;
+        for (VertexId v : ids) {
+          best = std::min(best, cur[v]);
+          ++arcs;
+        }
+        next[u] = std::min(next[u], best);
+      };
+      auto both = [&](VertexId u, auto ids) {
+        const uint32_t label_u = cur[u];
+        uint32_t best = UINT32_MAX;
+        for (VertexId v : ids) {
+          best = std::min(best, cur[v]);
+          next[v] = std::min(next[v], label_u);
+          ++arcs;
+        }
+        next[u] = std::min(next[u], best);
+      };
       for (uint32_t s = 0; s < S; ++s) {
         UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
         const SegmentView& view = pin.view();
-        worker_scanned[w] += view.num_edges;
-        view.ScanRows(view.begin, view.end, [&](VertexId u, auto&& nbrs) {
-          const uint32_t label_u = cur[u];
-          if (u >= db && u < de) {
-            uint32_t best = next[u];
-            for (VertexId v : nbrs) {
-              best = std::min(best, cur[v]);
-              if (v >= db && v < de) next[v] = std::min(next[v], label_u);
-            }
-            next[u] = best;
-          } else {
-            for (VertexId v : nbrs) {
-              if (v >= db && v < de) next[v] = std::min(next[v], label_u);
-            }
-          }
-        });
+        const bool own_rows = s >= lo && s < hi;
+        for (uint32_t t = own_rows ? 0 : lo; t < (own_rows ? S : hi); ++t) {
+          const VertexId c0 = g.shard_begin(t), c1 = g.shard_begin(t + 1);
+          const bool own_column = t >= lo && t < hi;
+          UG_RETURN_NOT_OK(!own_rows    ? view.ScanBlock(t, c0, c1, forward)
+                           : own_column ? view.ScanBlock(t, c0, c1, both)
+                                        : view.ScanBlock(t, c0, c1, reverse));
+        }
       }
+      worker_scanned[w] += arcs;
       return Status::OK();
     }));
 

@@ -4,19 +4,24 @@
 // ids (translated through the manifest's new_to_old map), so callers compare
 // them 1:1 with the src/algorithms kernels.
 //
-// Execution is destination-owned dense accumulation. Workers own contiguous
-// ascending blocks of DESTINATION shards; each worker scans every (active)
-// segment in ascending order and folds the messages aimed at its own
-// destinations directly into the dense per-vertex state (next-rank, distance
-// + frontier flags, next-label), combining at the destination with no message
-// buffering at all. Each destination is owned by exactly one worker and
-// sources are visited in globally ascending order, so every accumulator sees
-// its contributions in the SERIAL in-RAM push kernel's float association — at
-// any thread count and any shard count. The trade: with W workers a segment
-// is decoded up to W times per iteration (shard.pagerank.edges_streamed and
-// shard.cc.edges_scanned count every decoded arc), but per-iteration message
-// memory is zero. Dangling mass and the L1 delta are straight serial O(V)
-// loops for the same reason.
+// Execution is destination-owned dense accumulation over the segments' 2D
+// grid of blocks (segment.h): segment s holds source shard s, split into one
+// block per destination shard. Workers own contiguous ascending runs of
+// destination shards — grid columns — and each worker scans only its own
+// columns' blocks, segment by ascending segment, folding every arc straight
+// into the dense per-vertex state it owns (next-rank, distance + frontier
+// flags, next-label) with no message buffering at all. Each destination is
+// owned by exactly one worker and every block lists its rows in ascending
+// order, so every accumulator sees its contributions in the SERIAL in-RAM
+// push kernel's float association — at any thread count and any shard
+// count. Dangling mass and the L1 delta are straight serial O(V) loops for
+// the same reason. PageRank decodes each arc once per iteration and BFS each
+// frontier arc once per level (shard.pagerank.edges_streamed and
+// shard.bfs.edges_scanned count them); CC decodes an arc at most twice per
+// round, once for its forward and once for its reverse message
+// (shard.cc.edges_scanned). Every decoded id is checked against
+// its block's column before it indexes vertex state, so a segment file
+// altered between loads yields Status::Corruption, never a stray write.
 // Consequences, enforced by tests/sharded_test.cc:
 //
 //   * PageRank under ShardPartitioner::kContiguous (identity relabel) is

@@ -131,10 +131,12 @@ Result<ShardedCsr> ShardedCsr::Build(const CsrGraph& g,
   }
 
   const std::vector<uint64_t>& offsets = relabeled->offsets();
+  const std::vector<VertexId> column_begin(m.shard_begin.begin(),
+                                           m.shard_begin.end());
   std::vector<std::string> blobs(S);
   for (uint32_t s = 0; s < S; ++s) {
-    const VertexId begin = static_cast<VertexId>(m.shard_begin[s]);
-    const VertexId end = static_cast<VertexId>(m.shard_begin[s + 1]);
+    const VertexId begin = column_begin[s];
+    const VertexId end = column_begin[s + 1];
     const uint64_t count = end - begin;
     std::vector<uint64_t> local_offsets(count + 1);
     for (uint64_t u = 0; u <= count; ++u) {
@@ -143,7 +145,7 @@ Result<ShardedCsr> ShardedCsr::Build(const CsrGraph& g,
     const std::span<const VertexId> targets(
         relabeled->targets().data() + offsets[begin],
         offsets[end] - offsets[begin]);
-    blobs[s] = EncodeSegment(s, S, n, begin, end, local_offsets, targets,
+    blobs[s] = EncodeSegment(s, column_begin, local_offsets, targets,
                              options.encoding);
   }
   UG_ASSIGN_OR_RETURN(sharded.cache_, SegmentCache::FromBlobs(std::move(blobs)));
@@ -242,10 +244,9 @@ std::span<const VertexId> ShardedCsr::OldToNew(unsigned workers) const {
 Result<SegmentCache::Pin> ShardedCsr::AcquireShard(uint32_t s) const {
   UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, cache_->Acquire(s));
   const SegmentView& v = pin.view();
-  if (v.begin != shard_begin(s) || v.end != shard_begin(s + 1) ||
-      v.num_vertices != num_vertices() ||
-      (v.encoding == SegmentEncoding::kCompressed) !=
-          (manifest_.encoding == SegmentEncoding::kCompressed)) {
+  if (v.shard_id != s || v.begin != shard_begin(s) ||
+      v.end != shard_begin(s + 1) || v.num_shards != num_shards() ||
+      v.num_vertices != num_vertices() || v.encoding != manifest_.encoding) {
     return Status::Corruption(
         "sharded csr: segment " + std::to_string(s) +
         " does not match the manifest (vertex range [" +

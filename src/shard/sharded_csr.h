@@ -121,8 +121,9 @@ class ShardedCsr {
   SegmentCache& cache() const { return *cache_; }
 
   /// Acquire + cross-check: the pinned view must cover exactly this shard's
-  /// manifest range (catches a valid segment file swapped in from another
-  /// graph or layout).
+  /// manifest range in a grid of the manifest's shape (catches a valid
+  /// segment file swapped in from another graph or layout). Kernels check
+  /// every decoded id against the manifest's columns, not the segment's.
   Result<SegmentCache::Pin> AcquireShard(uint32_t s) const;
 
  private:

@@ -784,12 +784,29 @@ bool ManifestDecodes(const std::string& bytes) {
       .ok();
 }
 
+/// Segment 0 of the seed graph split into two shards ({0, 6, 12}): rows
+/// [0, 6), their ids in two blocks.
 std::string ValidSegmentBlob(shard::SegmentEncoding encoding) {
   auto g = CsrGraph::FromEdges(SeedEdges()).ValueOrDie();
-  std::vector<uint64_t> local(g.num_vertices() + 1);
-  for (VertexId v = 0; v <= g.num_vertices(); ++v) local[v] = g.offsets()[v];
-  return shard::EncodeSegment(0, 1, g.num_vertices(), 0, g.num_vertices(),
-                              local, g.targets(), encoding);
+  const std::vector<VertexId> columns = {0, 6, 12};
+  EXPECT_EQ(g.num_vertices(), columns.back());
+  std::vector<uint64_t> local(columns[1] + 1);
+  for (VertexId v = 0; v <= columns[1]; ++v) local[v] = g.offsets()[v];
+  return shard::EncodeSegment(0, columns, local,
+                              std::span<const VertexId>(g.targets())
+                                  .subspan(0, local[columns[1]]),
+                              encoding);
+}
+
+/// Overwrites `width` bytes at `offset` and re-stamps the CRC, so each
+/// corruption reaches its own structural check rather than dying at the
+/// checksum.
+std::string Tamper(std::string doc, size_t offset, uint64_t value,
+                   size_t width) {
+  std::memcpy(doc.data() + offset, &value, width);
+  const uint32_t crc = Crc32(doc.data(), doc.size() - sizeof(uint32_t));
+  std::memcpy(doc.data() + doc.size() - sizeof crc, &crc, sizeof crc);
+  return doc;
 }
 
 TEST(FuzzSmokeTest, SegmentDecoderIsTotal) {
@@ -832,53 +849,224 @@ TEST(FuzzSmokeTest, SegmentMutationsNeverPassVerification) {
 }
 
 TEST(FuzzSmokeTest, SegmentHostileHeadersFailCleanly) {
-  // Targeted header tampering with the CRC re-stamped, so each corruption
-  // reaches its own structural check rather than dying at the checksum.
-  std::string valid = ValidSegmentBlob(shard::SegmentEncoding::kPlain);
-  auto tamper = [&](size_t offset, uint64_t value, size_t width) {
-    std::string doc = valid;
-    std::memcpy(doc.data() + offset, &value, width);
-    uint32_t crc = Crc32(doc.data(), doc.size() - sizeof(uint32_t));
-    std::memcpy(doc.data() + doc.size() - sizeof(uint32_t), &crc, sizeof crc);
-    return doc;
-  };
-  EXPECT_FALSE(SegmentDecodes(tamper(0, 0x58585858u, 4), true));  // bad magic
-  EXPECT_FALSE(SegmentDecodes(tamper(4, 999, 4), true));   // version skew
-  EXPECT_FALSE(SegmentDecodes(tamper(8, 0xffu, 4), true)); // unknown flags
-  EXPECT_FALSE(SegmentDecodes(tamper(24, 50, 8), true));   // begin > end
-  EXPECT_FALSE(SegmentDecodes(tamper(32, 1u << 20, 8), true));  // end > V
-  EXPECT_FALSE(SegmentDecodes(tamper(40, 1u << 30, 8), true));  // edges lie
-  EXPECT_FALSE(SegmentDecodes(tamper(48, 8, 8), true));   // payload_bytes lie
-  // Shrinking num_vertices below the largest target id must trip the
-  // deep id-range check under verify.
-  EXPECT_FALSE(SegmentDecodes(tamper(20, 2, 4), true));
-  // Unsigned-wrap attack: num_edges = 2^62 + E makes num_edges * 4 wrap u64
-  // back to the true payload size, so a product-based size check would pass
-  // and the target-id verify loop (or, under verify=false, kernels indexing
-  // through 2^62-scale offsets) would read far out of bounds. Stamping the
-  // header field alone is caught by offsets[count] != num_edges, so the full
-  // exploit also stamps the last row offset to the wrapped value; the
-  // decoder must derive the edge count from the payload by division to
-  // reject it. Both verify modes — the CRC is re-stamped, so only the
-  // structural check stands between this header and UB.
-  uint64_t true_edges = 0, vertex_begin = 0, vertex_end = 0;
-  std::memcpy(&vertex_begin, valid.data() + 24, sizeof vertex_begin);
-  std::memcpy(&vertex_end, valid.data() + 32, sizeof vertex_end);
-  std::memcpy(&true_edges, valid.data() + 40, sizeof true_edges);
-  const uint64_t wrapped = (uint64_t{1} << 62) + true_edges;
-  const size_t last_offset_pos =
-      sizeof(shard::SegmentHeader) + (vertex_end - vertex_begin) * 8;
-  auto wrap_both = [&](bool verify) {
-    std::string doc = tamper(40, wrapped, 8);
-    std::memcpy(doc.data() + last_offset_pos, &wrapped, sizeof wrapped);
-    uint32_t crc = Crc32(doc.data(), doc.size() - sizeof(uint32_t));
-    std::memcpy(doc.data() + doc.size() - sizeof(uint32_t), &crc, sizeof crc);
-    return SegmentDecodes(doc, verify);
-  };
-  EXPECT_FALSE(SegmentDecodes(tamper(40, wrapped, 8), true));
-  EXPECT_FALSE(SegmentDecodes(tamper(40, wrapped, 8), false));
-  EXPECT_FALSE(wrap_both(true));
-  EXPECT_FALSE(wrap_both(false));
+  // Targeted header tampering with the CRC re-stamped.
+  for (auto enc :
+       {shard::SegmentEncoding::kPlain, shard::SegmentEncoding::kCompressed}) {
+    SCOPED_TRACE(shard::SegmentEncodingName(enc));
+    const std::string valid = ValidSegmentBlob(enc);
+    auto tamper = [&](size_t offset, uint64_t value, size_t width) {
+      return Tamper(valid, offset, value, width);
+    };
+    EXPECT_FALSE(SegmentDecodes(tamper(0, 0x58585858u, 4), true));  // magic
+    EXPECT_FALSE(SegmentDecodes(tamper(4, 1, 4), true));   // format 1: unread
+    EXPECT_FALSE(SegmentDecodes(tamper(4, 999, 4), true));   // version skew
+    EXPECT_FALSE(SegmentDecodes(tamper(8, 0xffu, 4), true));  // unknown flags
+    EXPECT_FALSE(SegmentDecodes(tamper(12, 2, 4), true));   // shard >= count
+    EXPECT_FALSE(SegmentDecodes(tamper(16, 0, 4), true));   // zero shards
+    EXPECT_FALSE(SegmentDecodes(tamper(24, 50, 8), true));   // begin > end
+    EXPECT_FALSE(SegmentDecodes(tamper(32, 1u << 20, 8), true));  // end > V
+    EXPECT_FALSE(SegmentDecodes(tamper(40, 1u << 30, 8), true));  // edges lie
+    EXPECT_FALSE(SegmentDecodes(tamper(48, 8, 8), true));  // payload_bytes lie
+    EXPECT_FALSE(SegmentDecodes(tamper(56, 99, 8), true));  // entries lie
+    // Shrinking the vertex count below the segment's rows breaks its range.
+    EXPECT_FALSE(SegmentDecodes(tamper(20, 2, 4), true));
+    // A shard count whose directory outgrows the payload, sized by division.
+    EXPECT_FALSE(SegmentDecodes(tamper(16, 0xfffffffeu, 4), false));
+    // Unsigned-wrap attacks on the header counts a decoder might multiply:
+    // num_edges = 2^62 + E makes a plain `num_edges * 4` wrap u64 back to a
+    // plausible size, and num_entries = 2^63 + k makes `2 * num_entries`
+    // wrap to 2k. The decoder compares them by division, in both verify
+    // modes — the CRC is re-stamped, so only the structural checks stand
+    // between these headers and the kernels.
+    uint64_t true_edges = 0, true_entries = 0;
+    std::memcpy(&true_edges, valid.data() + 40, sizeof true_edges);
+    std::memcpy(&true_entries, valid.data() + 56, sizeof true_entries);
+    for (bool verify : {false, true}) {
+      EXPECT_FALSE(SegmentDecodes(
+          tamper(40, (uint64_t{1} << 62) + true_edges, 8), verify));
+      EXPECT_FALSE(SegmentDecodes(
+          tamper(56, (uint64_t{1} << 63) + true_entries, 8), verify));
+    }
+  }
+}
+
+/// Byte offsets into a serialized segment of `S` blocks.
+struct SegmentLayout {
+  explicit SegmentLayout(const std::string& blob) {
+    std::memcpy(&S, blob.data() + 16, sizeof S);
+    area = sizeof(shard::SegmentHeader) +
+           (S + 1) * (sizeof(uint64_t) + sizeof(VertexId));
+    offsets.resize(S + 1);
+    std::memcpy(offsets.data(), blob.data() + sizeof(shard::SegmentHeader),
+                offsets.size() * sizeof(uint64_t));
+  }
+  size_t block_offset_pos(uint32_t t) const {
+    return sizeof(shard::SegmentHeader) + t * sizeof(uint64_t);
+  }
+  size_t block(uint32_t t) const { return area + offsets[t]; }
+
+  uint32_t S = 0;
+  size_t area = 0;
+  std::vector<uint64_t> offsets;
+};
+
+TEST(FuzzSmokeTest, SegmentHostileBlocksFailCleanly) {
+  // Hand-made v2 block corruption with the CRC re-stamped. Each case must
+  // fail cleanly with a Status through DecodeSegment under verification and
+  // through the full Open/Acquire path, where the first load verifies.
+  namespace fs = std::filesystem;
+  auto g = CsrGraph::FromEdges(SeedEdges()).ValueOrDie();
+  const fs::path dir =
+      fs::temp_directory_path() / "ubigraph_fuzz_sharded_blocks";
+  for (auto enc :
+       {shard::SegmentEncoding::kPlain, shard::SegmentEncoding::kCompressed}) {
+    SCOPED_TRACE(shard::SegmentEncodingName(enc));
+    shard::ShardOptions opts;
+    opts.num_shards = 2;
+    opts.encoding = enc;
+    auto sharded = shard::ShardedCsr::Build(g, opts).ValueOrDie();
+    fs::remove_all(dir);
+    ASSERT_TRUE(sharded.WriteTo(dir.string()).ok());
+    const std::string valid = ValidSegmentBlob(enc);
+    {
+      // The hand-encoded blob is the one Build wrote for shard 0.
+      std::ifstream in(dir / "segment_00000.ugsg", std::ios::binary);
+      ASSERT_EQ(std::string((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>()),
+                valid);
+    }
+    const SegmentLayout at(valid);
+    ASSERT_EQ(at.S, 2u);
+    // Block 0: varint(header bytes), entry headers (varint row delta,
+    // varint count or length), then the entries' ids.
+    const size_t block = at.block(0);
+    const size_t header_bytes = static_cast<uint8_t>(valid[block]);
+    ASSERT_LT(at.offsets[1] - at.offsets[0], 0x7fu);
+    const size_t first = block + 1;
+    const size_t second = first + 2;
+    ASSERT_LT(static_cast<uint8_t>(valid[first]), 0x80);
+    ASSERT_LT(static_cast<uint8_t>(valid[first + 1]), 0x80);
+    ASSERT_LT(second, first + header_bytes);
+    const size_t first_id = first + header_bytes;
+
+    auto fails_cleanly = [&](const std::string& doc) {
+      bool decode_failed = !SegmentDecodes(doc, true);
+      {
+        std::ofstream out(dir / "segment_00000.ugsg",
+                          std::ios::binary | std::ios::trunc);
+        out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
+      }
+      shard::ShardOpenOptions oopts;
+      oopts.storage = shard::SegmentStorage::kMapped;
+      auto opened = shard::ShardedCsr::Open(dir.string(), oopts);
+      const bool open_failed =
+          !opened.ok() || !opened->AcquireShard(0).ok();
+      return decode_failed && open_failed;
+    };
+    ASSERT_FALSE(fails_cleanly(valid));
+
+    // A block directory that does not ascend, or does not span the payload.
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, at.block_offset_pos(1),
+                                     at.offsets[2] + 1, 8)));
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, at.block_offset_pos(0), 1, 8)));
+    EXPECT_TRUE(fails_cleanly(
+        Tamper(valid, at.block_offset_pos(2), at.offsets[2] - 1, 8)));
+    // A row delta past the shard's 6 rows.
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, first, 0x7f, 1)));
+    // Rows that do not ascend: the second entry repeats the first's row.
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, second, 0, 1)));
+    // Entry headers that disagree with their ids: an empty entry, ids that
+    // run off the block, a header stream that runs off it or stops short
+    // of the ids, and header totals the blocks do not hold.
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, first + 1, 0, 1)));
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, first + 1, 0x7f, 1)));
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, block, 0x7f, 1)));
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, block, 2, 1)));
+    uint64_t entries = 0;
+    std::memcpy(&entries, valid.data() + 56, sizeof entries);
+    EXPECT_TRUE(fails_cleanly(Tamper(valid, 56, entries + 1, 8)));
+    // A block whose ids leave its destination column [0, 6): a plain id of
+    // 7, or a compressed first id of column start + 127.
+    if (enc == shard::SegmentEncoding::kPlain) {
+      EXPECT_TRUE(fails_cleanly(Tamper(valid, first_id, 7, 4)));
+    } else {
+      EXPECT_TRUE(fails_cleanly(Tamper(valid, first_id, 0x7f, 1)));
+    }
+  }
+  fs::remove_all(dir);
+}
+
+/// The byte-at-a-time varint stream check CountVarints replaced, kept as its
+/// oracle: one branch per byte.
+Result<uint64_t> CountVarintsByteLoop(std::span<const uint8_t> bytes) {
+  uint64_t terminators = 0;
+  uint32_t run = 0;  // continuation bytes since the last terminator
+  for (uint8_t b : bytes) {
+    if (b & 0x80) {
+      if (++run > 4) return Status::Corruption("varint longer than 5 bytes");
+    } else {
+      ++terminators;
+      run = 0;
+    }
+  }
+  if (!bytes.empty() && (bytes.back() & 0x80)) {
+    return Status::Corruption("stream ends inside a varint");
+  }
+  return terminators;
+}
+
+void ExpectSameVarintVerdict(const std::string& doc) {
+  const std::span<const uint8_t> bytes(
+      reinterpret_cast<const uint8_t*>(doc.data()), doc.size());
+  const Result<uint64_t> word = shard::CountVarints(bytes);
+  const Result<uint64_t> oracle = CountVarintsByteLoop(bytes);
+  ASSERT_EQ(word.ok(), oracle.ok()) << doc.size() << " bytes";
+  if (word.ok()) {
+    ASSERT_EQ(*word, *oracle);
+  }
+}
+
+TEST(FuzzSmokeTest, WordVarintValidatorMatchesByteLoopOracle) {
+  // A compressed segment of an RMAT graph, whose gaps often need 2-3 byte
+  // varints: the word-at-a-time validator must give the byte loop's verdict
+  // and count on every mutated copy. Mutations insert, delete and overwrite
+  // bytes (shifting every word boundary) and flip high bits (making and
+  // breaking continuation runs).
+  Rng gen_rng(17);
+  auto g = CsrGraph::FromEdges(gen::Rmat(12, 8192, &gen_rng).ValueOrDie())
+               .ValueOrDie();
+  shard::ShardOptions opts;
+  opts.num_shards = 4;
+  opts.encoding = shard::SegmentEncoding::kCompressed;
+  auto sharded = shard::ShardedCsr::Build(g, opts).ValueOrDie();
+  const std::span<const uint8_t> blob =
+      sharded.cache().SerializedBytes(1).ValueOrDie();
+  const std::string valid(blob.begin(), blob.end());
+  const SegmentLayout at(valid);
+  const std::string area = valid.substr(at.area, at.offsets[at.S]);
+  ASSERT_TRUE(shard::CountVarints({reinterpret_cast<const uint8_t*>(
+                                       area.data()),
+                                   area.size()})
+                  .ok());
+  Rng rng(46);
+  for (int i = 0; i < 20000; ++i) {
+    std::string doc = Mutate(i % 2 ? area : valid, &rng,
+                             1 + static_cast<int>(rng.NextBounded(8)));
+    const int flips = static_cast<int>(rng.NextBounded(4));
+    for (int f = 0; f < flips && !doc.empty(); ++f) {
+      doc[rng.NextBounded(doc.size())] ^= static_cast<char>(0x80);
+    }
+    ExpectSameVarintVerdict(doc);
+  }
+  // Every run length 0..7 of continuation bytes at every offset of a
+  // 200-byte stream, so runs straddle each word and 64-byte boundary.
+  for (size_t len = 0; len < 8; ++len) {
+    for (size_t pos = 0; pos + len <= 200; ++pos) {
+      std::string doc(200, '\x01');
+      for (size_t k = pos; k < pos + len; ++k) doc[k] = '\x81';
+      ExpectSameVarintVerdict(doc);
+    }
+  }
 }
 
 TEST(FuzzSmokeTest, ManifestDecoderIsTotal) {

@@ -18,6 +18,7 @@
 #include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/traversal.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "gen/generators.h"
 #include "graph/ordering.h"
@@ -321,15 +322,18 @@ TEST(ShardedOutOfCoreTest, BudgetedCacheStaysPartialAndExact) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardedWorkCounterTest, ScanCountersCountEveryWorkerDecode) {
-  // Every worker that owns destinations decodes every segment, so the scan
-  // counters must grow with the worker count: rounds x E at 1 thread,
-  // 4 x rounds x E at 4 threads over 16 shards (4 per worker).
+  // Each worker decodes only its own columns' blocks, so the scan counters
+  // hold still as workers are added: PageRank decodes each arc once per
+  // iteration, BFS each frontier arc once, and CC at most twice per round
+  // (forward over the worker's columns, reverse over its own rows; a block
+  // in both is decoded once).
   const CsrGraph& g = RmatGraph();
   ShardOptions opts;
   opts.num_shards = 16;
   auto s = ShardedCsr::Build(g, opts).ValueOrDie();
   constexpr uint32_t kIters = 5;
-  for (uint32_t threads : {1u, 4u}) {
+  int64_t bfs_serial = -1;
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ShardedPageRankOptions popts;
     popts.tolerance = 0;
@@ -338,17 +342,25 @@ TEST(ShardedWorkCounterTest, ScanCountersCountEveryWorkerDecode) {
     const int64_t streamed = obs::CounterValue("shard.pagerank.edges_streamed");
     ASSERT_EQ(ShardedPageRank(s, popts).ValueOrDie().iterations, kIters);
     EXPECT_EQ(obs::CounterValue("shard.pagerank.edges_streamed") - streamed,
-              static_cast<int64_t>(threads * kIters * g.num_edges()));
+              static_cast<int64_t>(kIters * g.num_edges()));
 
     ShardedTraversalOptions topts;
     topts.num_threads = threads;
+    const int64_t frontier = obs::CounterValue("shard.bfs.edges_scanned");
+    ASSERT_TRUE(ShardedBfs(s, 0, topts).ok());
+    const int64_t bfs = obs::CounterValue("shard.bfs.edges_scanned") - frontier;
+    if (bfs_serial < 0) bfs_serial = bfs;
+    EXPECT_EQ(bfs, bfs_serial);
+    EXPECT_GT(bfs, 0);
+
     const int64_t scanned = obs::CounterValue("shard.cc.edges_scanned");
     const int64_t rounds = obs::CounterValue("shard.cc.rounds");
     ASSERT_TRUE(ShardedComponents(s, topts).ok());
     const int64_t ran = obs::CounterValue("shard.cc.rounds") - rounds;
     ASSERT_GT(ran, 0);
-    EXPECT_EQ(obs::CounterValue("shard.cc.edges_scanned") - scanned,
-              static_cast<int64_t>(threads * g.num_edges()) * ran);
+    const int64_t cc = obs::CounterValue("shard.cc.edges_scanned") - scanned;
+    EXPECT_LE(cc, static_cast<int64_t>(2 * g.num_edges()) * ran);
+    EXPECT_GE(cc, static_cast<int64_t>(g.num_edges()) * ran);
   }
 }
 
@@ -400,6 +412,83 @@ TEST(ShardedKernelErrorTest, CorruptLastSegmentFailsEveryKernel) {
     EXPECT_FALSE(ShardedPageRank(*opened, popts).ok());
     EXPECT_FALSE(ShardedBfs(*opened, source, topts).ok());
     EXPECT_FALSE(ShardedComponents(*opened, topts).ok());
+  }
+}
+
+TEST(ShardedKernelErrorTest, RewrittenEvictedSegmentFailsCleanly) {
+  // Re-loads after eviction skip full verification, so a segment file
+  // rewritten in place while evicted — same size, CRC re-stamped — reaches
+  // the kernels unverified. Its first entry's id is moved out of the block's
+  // column (past the vertex count, for plain ids) or its row past the
+  // shard's row count: every kernel must answer with a Status rather than
+  // index vertex state with it.
+  const CsrGraph& g = RmatGraph();
+  for (SegmentEncoding enc :
+       {SegmentEncoding::kPlain, SegmentEncoding::kCompressed}) {
+    ShardOptions opts;
+    opts.num_shards = 16;
+    opts.encoding = enc;
+    auto built = ShardedCsr::Build(g, opts).ValueOrDie();
+    const std::span<const uint8_t> blob =
+        built.cache().SerializedBytes(0).ValueOrDie();
+    // Segment 0's first non-empty block: varint(header bytes), then its
+    // first entry's header — varint row delta (the entry's row), varint
+    // count or length — and, after all headers, that entry's ids.
+    const uint32_t S = built.num_shards();
+    const size_t area = sizeof(SegmentHeader) +
+                        (S + 1) * (sizeof(uint64_t) + sizeof(VertexId));
+    std::vector<uint64_t> offsets(S + 1);
+    std::memcpy(offsets.data(), blob.data() + sizeof(SegmentHeader),
+                offsets.size() * sizeof(uint64_t));
+    uint32_t t = 0;
+    while (offsets[t] == offsets[t + 1]) ++t;
+    const size_t block = area + offsets[t];
+    ASSERT_LT(blob[block], 0x80);      // one-byte header-stream length
+    const size_t entry = block + 1;
+    ASSERT_LT(blob[entry], 0x80);      // one-byte row delta
+    ASSERT_LT(blob[entry + 1], 0x80);  // one-byte count or length
+    const size_t first_id = entry + blob[block];
+    const VertexId row = blob[entry];
+
+    for (bool rewrite_row : {false, true}) {
+      std::string bytes(blob.begin(), blob.end());
+      if (rewrite_row) {
+        bytes[entry] = 0x7f;  // row 127 of a 32-row shard
+      } else if (enc == SegmentEncoding::kPlain) {
+        const VertexId far = 0x7ffffff0;
+        std::memcpy(bytes.data() + first_id, &far, sizeof far);
+      } else {
+        bytes[first_id] = 0x7f;  // column start + 127, past a 32-id column
+      }
+      const uint32_t crc = Crc32(bytes.data(), bytes.size() - sizeof crc);
+      std::memcpy(bytes.data() + bytes.size() - sizeof crc, &crc, sizeof crc);
+
+      for (uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << SegmentEncodingName(enc)
+                     << (rewrite_row ? " row" : " id") << " threads=" << threads);
+        TempDir dir;
+        ASSERT_TRUE(built.WriteTo(dir.str()).ok());
+        ShardOpenOptions oopts;
+        oopts.storage = SegmentStorage::kMapped;
+        oopts.budget_bytes = 1;  // every load evicts the unpinned rest
+        auto opened = ShardedCsr::Open(dir.str(), oopts).ValueOrDie();
+        // Loads and fully verifies every segment; later loads evict 0.
+        ASSERT_TRUE(ShardedPageRank(opened).ok());
+        {
+          std::ofstream out(dir.path() / "segment_00000.ugsg",
+                            std::ios::binary | std::ios::trunc);
+          out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        }
+        ShardedPageRankOptions popts;
+        popts.num_threads = threads;
+        ShardedTraversalOptions topts;
+        topts.num_threads = threads;
+        EXPECT_FALSE(ShardedPageRank(opened, popts).ok());
+        EXPECT_FALSE(ShardedBfs(opened, row, topts).ok());
+        EXPECT_FALSE(ShardedComponents(opened, topts).ok());
+      }
+    }
   }
 }
 
@@ -488,13 +577,66 @@ TEST(ShardedCacheTest, PinBlocksEvictionAndViewsStayValid) {
     auto pin = opened.AcquireShard(s).ValueOrDie();
     EXPECT_EQ(pin.view().begin, opened.shard_begin(s));
   }
-  uint64_t degree_sum = 0;
-  for (VertexId u = v0.begin; u < v0.end; ++u) degree_sum += v0.OutDegree(u);
-  uint64_t manifest_sum = 0;
-  for (VertexId u = v0.begin; u < v0.end; ++u) {
-    manifest_sum += opened.degrees()[u];
+  // The pinned view still reads: its blocks rebuild every row's degree.
+  std::vector<uint64_t> degree(v0.count(), 0);
+  for (uint32_t t = 0; t < v0.num_shards; ++t) {
+    ASSERT_TRUE(v0.ScanBlock(t, opened.shard_begin(t),
+                             opened.shard_begin(t + 1),
+                             [&](VertexId u, auto ids) {
+                    for (VertexId v : ids) {
+                      (void)v;
+                      ++degree[u - v0.begin];
+                    }
+                  }).ok());
   }
-  EXPECT_EQ(degree_sum, manifest_sum);
+  for (VertexId u = v0.begin; u < v0.end; ++u) {
+    EXPECT_EQ(degree[u - v0.begin], opened.degrees()[u]) << u;
+  }
+}
+
+TEST(ShardedCacheTest, AscendingSweepsKeepAllButOneBudgetedSegment) {
+  // Every kernel sweeps segments in ascending order. With a budget that
+  // holds k of N segments, evicting the segment a sweep just released keeps
+  // k - 1 segments across sweeps, so the second sweep misses at most
+  // N - k + 1 times; least-recently-used eviction misses all N. A ring,
+  // v -> v+1 and v -> v+2, makes every segment the same size, so the
+  // budget holds exactly k.
+  constexpr uint32_t kShards = 16, kRows = 64, k = 5;
+  constexpr VertexId n = kShards * kRows;
+  std::vector<std::pair<VertexId, VertexId>> ring;
+  for (VertexId v = 0; v < n; ++v) {
+    ring.emplace_back(v, (v + 1) % n);
+    ring.emplace_back(v, (v + 2) % n);
+  }
+  ShardOptions opts;
+  opts.num_shards = kShards;
+  auto built = ShardedCsr::Build(CsrGraph::FromPairs(n, ring).ValueOrDie(),
+                                 opts)
+                   .ValueOrDie();
+  TempDir dir;
+  ASSERT_TRUE(built.WriteTo(dir.str()).ok());
+  const uint64_t size = built.cache().SerializedBytes(0).ValueOrDie().size();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    ASSERT_EQ(built.cache().SerializedBytes(s).ValueOrDie().size(), size);
+  }
+  ShardOpenOptions oopts;
+  oopts.storage = SegmentStorage::kMapped;
+  oopts.budget_bytes = k * size;
+  auto opened = ShardedCsr::Open(dir.str(), oopts).ValueOrDie();
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  auto sweep = [&] {
+    const int64_t before = obs::CounterValue("shard.cache.misses");
+    for (uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_TRUE(opened.AcquireShard(s).ok());
+    }
+    return obs::CounterValue("shard.cache.misses") - before;
+  };
+  EXPECT_EQ(sweep(), int64_t{kShards});
+  EXPECT_EQ(sweep(), int64_t{kShards - k + 1});
+  reg.set_enabled(was_enabled);
 }
 
 }  // namespace
