@@ -9,52 +9,42 @@
 namespace ubigraph {
 namespace {
 
+// The serial union-find: the baseline BM_CCLabelProp must beat in parallel.
 void BM_WeaklyConnectedComponents(benchmark::State& state) {
-  const CsrGraph& g = bench::RmatGraph(static_cast<uint32_t>(state.range(0)));
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  const CsrGraph& g = bench::RmatGraph(scale);
   for (auto _ : state) {
     benchmark::DoNotOptimize(algo::WeaklyConnectedComponents(g));
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
+  state.SetLabel("kernel=cc mode=union_find graph=rmat" + std::to_string(scale));
 }
-BENCHMARK(BM_WeaklyConnectedComponents)->Arg(10)->Arg(13)->Arg(16);
+BENCHMARK(BM_WeaklyConnectedComponents)->Arg(10)->Arg(13)->Arg(16)->Arg(20);
 
-void BM_ConnectedComponentsBfs(benchmark::State& state) {
-  const CsrGraph& g =
-      bench::RmatGraph(static_cast<uint32_t>(state.range(0)), /*in_edges=*/true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::ConnectedComponentsBfs(g));
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(BM_ConnectedComponentsBfs)->Arg(10)->Arg(13)->Arg(16);
-
-// Label-propagation CC, full-sweep vs Frontier working set; Args = {scale,
-// num_threads, use_frontier}. The frontier variant stops touching settled
-// regions, which dominates once the giant component's labels stabilize.
+// The parallel kernel (concurrent union-find, Afforest order); Args =
+// {scale, num_threads}. work_items is cc.arcs_linked: the arcs handed to
+// Link, which the giant-component skip keeps well below E.
 void BM_CCLabelProp(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const CsrGraph& g = bench::RmatGraph(scale, /*in_edges=*/true);
   algo::ComponentsOptions opts;
   opts.num_threads = static_cast<uint32_t>(state.range(1));
-  opts.use_frontier = state.range(2) != 0;
-  bench::WorkProbe work({"cc.labelprop.vertices_activated"});
+  bench::WorkProbe work({"cc.arcs_linked"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(algo::ConnectedComponentsLabelProp(g, opts).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
   work.Flush(state);
-  state.SetLabel(std::string("kernel=cc mode=") +
-                 (opts.use_frontier ? "frontier" : "full") + " graph=rmat" +
-                 std::to_string(scale));
+  state.SetLabel("kernel=cc mode=afforest graph=rmat" + std::to_string(scale));
   state.counters["threads"] = static_cast<double>(state.range(1));
 }
 BENCHMARK(BM_CCLabelProp)
-    ->Args({12, 1, 0})
-    ->Args({12, 1, 1})
-    ->Args({16, 1, 0})
-    ->Args({16, 1, 1})
-    ->Args({16, 8, 0})
-    ->Args({16, 8, 1});
+    ->Args({12, 1})
+    ->Args({12, 4})
+    ->Args({16, 1})
+    ->Args({16, 4})
+    ->Args({20, 1})
+    ->Args({20, 4});
 
 void BM_StronglyConnectedComponents(benchmark::State& state) {
   const CsrGraph& g = bench::RmatGraph(static_cast<uint32_t>(state.range(0)));

@@ -145,7 +145,7 @@ void RunThreadSweep() {
          o.num_threads = threads;
          algo::BfsDistances(g, 0, o);
        }},
-      {"CC label-prop",
+      {"CC union-find",
        [&](uint32_t threads) {
          algo::ComponentsOptions o;
          o.num_threads = threads;

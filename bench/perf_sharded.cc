@@ -224,8 +224,7 @@ BENCHMARK(BM_ShardedBfs)
     ->Args({12, 16, 4})
     ->Args({22, 64, 1});
 
-// Min-label components with pointer jumping; Args = {scale, shards,
-// threads}.
+// One-sweep union-find components; Args = {scale, shards, threads}.
 void BM_ShardedComponents(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const shard::ShardedCsr& s =

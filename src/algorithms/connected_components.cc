@@ -1,12 +1,13 @@
 #include "algorithms/connected_components.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/parallel.h"
+#include "common/random.h"
 #include "graph/compressed_csr.h"
-#include "graph/frontier.h"
 #include "graph/graph_traits.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,6 +24,12 @@ size_t UnionFind::Find(size_t x) {
     x = parent_[x];
   }
   return x;
+}
+
+ComponentResult UnionFind::Components() {
+  std::vector<uint32_t> root(size());
+  for (size_t v = 0; v < root.size(); ++v) root[v] = static_cast<uint32_t>(Find(v));
+  return CanonicalComponents(root);
 }
 
 bool UnionFind::Union(size_t a, size_t b) {
@@ -47,23 +54,28 @@ uint32_t ComponentResult::LargestComponent() const {
       std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
 }
 
-namespace {
-
-/// Renumbers arbitrary representative ids to dense labels ordered by first
-/// appearance (i.e. by smallest member vertex).
-ComponentResult Relabel(const std::vector<uint32_t>& rep, VertexId n) {
+ComponentResult CanonicalComponents(std::span<const uint32_t> raw) {
+  // First appearance in ascending vertex order: a component's smallest
+  // vertex is the first of its members scanned.
   ComponentResult out;
-  out.label.assign(n, 0);
-  std::vector<uint32_t> dense(n, UINT32_MAX);
-  uint32_t next = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    uint32_t r = rep[v];
-    if (dense[r] == UINT32_MAX) dense[r] = next++;
-    out.label[v] = dense[r];
+  out.label.resize(raw.size());
+  const auto top = std::max_element(raw.begin(), raw.end());
+  std::vector<uint32_t> dense(top == raw.end() ? 0 : *top + size_t{1}, UINT32_MAX);
+  uint32_t next = 0;  // a local: stores to label[] could alias a member
+  for (size_t v = 0; v < raw.size(); ++v) {
+    // d = fresh ? next : d as a mask: whether a label is new is data-dependent, and
+    // the branch compilers emit even for a ternary here ran 3x slower on RMAT-20.
+    uint32_t& d = dense[raw[v]];
+    const uint32_t fresh = d == UINT32_MAX;
+    d ^= (d ^ next) & (0u - fresh);
+    next += fresh;
+    out.label[v] = d;
   }
   out.num_components = next;
   return out;
 }
+
+namespace {
 
 template <NeighborRangeGraph G>
 ComponentResult WeaklyConnectedComponentsImpl(const G& g) {
@@ -72,9 +84,7 @@ ComponentResult WeaklyConnectedComponentsImpl(const G& g) {
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v : g.OutNeighbors(u)) uf.Union(u, v);
   }
-  std::vector<uint32_t> rep(n);
-  for (VertexId v = 0; v < n; ++v) rep[v] = static_cast<uint32_t>(uf.Find(v));
-  return Relabel(rep, n);
+  return uf.Components();
 }
 
 }  // namespace
@@ -87,161 +97,125 @@ ComponentResult WeaklyConnectedComponents(const CompressedCsrGraph& g) {
   return WeaklyConnectedComponentsImpl(g);
 }
 
-Result<ComponentResult> ConnectedComponentsBfs(const CsrGraph& g) {
-  const VertexId n = g.num_vertices();
-  UG_RETURN_NOT_OK(g.RequireInEdges("ConnectedComponentsBfs"));
-  ComponentResult out;
-  out.label.assign(n, UINT32_MAX);
-  uint32_t next = 0;
-  std::deque<VertexId> queue;
-  for (VertexId root = 0; root < n; ++root) {
-    if (out.label[root] != UINT32_MAX) continue;
-    uint32_t comp = next++;
-    out.label[root] = comp;
-    queue.push_back(root);
-    while (!queue.empty()) {
-      VertexId u = queue.front();
-      queue.pop_front();
-      auto relax = [&](VertexId v) {
-        if (out.label[v] == UINT32_MAX) {
-          out.label[v] = comp;
-          queue.push_back(v);
-        }
-      };
-      for (VertexId v : g.OutNeighbors(u)) relax(v);
-      if (g.directed()) {
-        for (VertexId v : g.InNeighbors(u)) relax(v);
-      }
-    }
+// Every parent is at most its child (hooks and path splits only ever point a vertex
+// at a smaller ancestor), so trees never cycle and each root is its tree's minimum.
+// The forest carries no other data, so relaxed order is enough: each step needs only
+// the atomicity of the one slot it touches.
+ConcurrentUnionFind::ConcurrentUnionFind(VertexId n) : parent_(n) {
+  std::iota(parent_.begin(), parent_.end(), 0u);
+}
+
+VertexId ConcurrentUnionFind::Find(VertexId x) {
+  for (;;) {
+    const VertexId p = Slot(x).load(std::memory_order_relaxed);
+    const VertexId gp = Slot(p).load(std::memory_order_relaxed);
+    if (p == gp) return p;
+    // p was not a root, so neither is x: the store never unhooks a root, and
+    // if it overwrites a racing split's pointer, gp is still an ancestor.
+    Slot(x).store(gp, std::memory_order_relaxed);
+    x = p;
   }
-  out.num_components = next;
-  return out;
+}
+
+void ConcurrentUnionFind::Link(VertexId u, VertexId v) {
+  for (;;) {
+    u = Find(u);
+    v = Find(v);
+    if (u == v) return;
+    if (u < v) std::swap(u, v);
+    // Fails only if another thread hooked u first; then retry from the roots.
+    uint32_t root = u;
+    if (Slot(u).compare_exchange_strong(root, v, std::memory_order_relaxed)) return;
+  }
+}
+
+void ConcurrentUnionFind::Compress(unsigned workers) {
+  // A read-only walk, unlike Find: a split racing this pass could overwrite
+  // a vertex's finished root pointer with a stale ancestor.
+  ParallelForChunks(workers, 0, parent_.size(), [&](uint64_t b, uint64_t e) {
+    for (uint64_t v = b; v < e; ++v) {
+      uint32_t r = static_cast<uint32_t>(v), p;
+      while ((p = Slot(r).load(std::memory_order_relaxed)) != r) r = p;
+      Slot(v).store(r, std::memory_order_relaxed);
+    }
+  });
 }
 
 namespace {
+
+/// Out-neighbours each vertex links in Afforest's first pass.
+constexpr uint64_t kFirstNeighbors = 2;
+
+/// The most frequent root among a fixed-seed sample of vertices of a
+/// compressed forest (the first to reach the top count wins a tie): the
+/// giant component's root.
+VertexId SampleGiantRoot(std::span<const uint32_t> root) {
+  Rng rng(0x5eed);
+  std::unordered_map<uint32_t, uint32_t> count;
+  VertexId giant = 0;
+  uint32_t best = 0;
+  for (int i = 0; i < 1024; ++i) {
+    const uint32_t r = root[rng.NextBounded(root.size())];
+    if (++count[r] > best) {
+      best = count[r];
+      giant = r;
+    }
+  }
+  return giant;
+}
 
 template <NeighborRangeGraph G>
 Result<ComponentResult> ConnectedComponentsLabelPropImpl(
     const G& g, ComponentsOptions options) {
   obs::ScopedTrace span("ConnectedComponentsLabelProp");
-  const VertexId n = g.num_vertices();
   UG_RETURN_NOT_OK(g.RequireInEdges("ConnectedComponentsLabelProp"));
-  std::vector<uint32_t> cur(n), next(n);
-  std::iota(cur.begin(), cur.end(), 0u);
-  uint64_t rounds = 0;
-  // Machine-independent work: vertices evaluated per round (the full-sweep
-  // variant touches all n every round, the frontier variant only the active
-  // set). Deterministic at any thread count, so BENCH.json can report it as
-  // a rate-normalizing work counter.
-  uint64_t activations = 0;
-
-  const unsigned threads = ResolveNumThreads(options.num_threads);
-  const bool parallel = threads > 1;
-  auto any = [](bool a, bool b) { return a || b; };
-
-  if (!options.use_frontier) {
-    // One Jacobi round over [b, e): reads only `cur`, writes only next[b..e),
-    // so concurrent chunks never conflict. Returns whether any label changed.
-    auto round = [&](uint64_t b, uint64_t e) {
-      bool changed = false;
-      for (uint64_t i = b; i < e; ++i) {
-        VertexId v = static_cast<VertexId>(i);
-        uint32_t best = cur[v];
-        best = std::min(best, cur[best]);  // pointer jumping
-        for (VertexId u : g.OutNeighbors(v)) best = std::min(best, cur[u]);
-        if (g.directed()) {
-          for (VertexId u : g.InNeighbors(v)) best = std::min(best, cur[u]);
+  const VertexId n = g.num_vertices();
+  if (n == 0) return ComponentResult{};
+  const unsigned workers =
+      g.num_edges() < kSerialLinkArcs ? 1 : ResolveNumThreads(options.num_threads);
+  ConcurrentUnionFind uf(n);
+  // Links, for every vertex u that `visit(u)` admits, its out-arcs at positions
+  // [first, last) and, with `in_arcs`, all its in-arcs. Returns the arcs linked.
+  auto link_pass = [&](auto visit, uint64_t first, uint64_t last, bool in_arcs) {
+    auto map = [&](uint64_t b, uint64_t e) {
+      uint64_t arcs = 0;
+      for (uint64_t u = b; u < e; ++u) {
+        if (!visit(u)) continue;
+        uint64_t i = 0;
+        for (VertexId v : g.OutNeighbors(u)) {
+          if (i == last) break;
+          if (i++ < first) continue;
+          uf.Link(u, v);
+          ++arcs;
         }
-        next[v] = best;
-        changed |= best != cur[v];
+        if (!in_arcs) continue;
+        for (VertexId v : g.InNeighbors(u)) {
+          uf.Link(u, v);
+          ++arcs;
+        }
       }
-      return changed;
+      return arcs;
     };
-    for (;;) {
-      ++rounds;
-      activations += n;
-      bool changed =
-          parallel ? ParallelReduce(threads, 0, n, false, round, any) : round(0, n);
-      cur.swap(next);
-      if (!changed) break;
-    }
-  } else {
-    // Frontier variant: a vertex is re-evaluated only while some neighbor's
-    // label is still moving; everyone else carries cur[v] forward for O(1).
-    // A label can only drop when a neighbor's label dropped last round, so
-    // the fixpoint is the same min-label-per-component as the full sweep.
-    // (Pointer jumping is dropped: cur[v] is not a graph neighbor, so a
-    // jumped-to representative could never re-activate v.)
-    Frontier active(n), changed(n), next_active(n);
-    active.SetAll();
-    // The sweep only flags vertices whose label dropped (O(1) per vertex);
-    // their neighbors are activated after the round, and while most of the
-    // graph is still moving the activation scatter is skipped entirely
-    // (everyone stays active), keeping early rounds at full-sweep cost.
-    auto round = [&](uint64_t b, uint64_t e) {
-      bool any_changed = false;
-      for (uint64_t i = b; i < e; ++i) {
-        VertexId v = static_cast<VertexId>(i);
-        if (!active.Test(v)) {
-          next[v] = cur[v];
-          continue;
-        }
-        uint32_t best = cur[v];
-        for (VertexId u : g.OutNeighbors(v)) best = std::min(best, cur[u]);
-        if (g.directed()) {
-          for (VertexId u : g.InNeighbors(v)) best = std::min(best, cur[u]);
-        }
-        next[v] = best;
-        if (best != cur[v]) {
-          any_changed = true;
-          if (parallel) {
-            changed.AtomicTestAndSet(v);
-          } else {
-            changed.Set(v);
-          }
-        }
-      }
-      return any_changed;
-    };
-    for (;;) {
-      ++rounds;
-      activations += active.size();
-      changed.ClearDense();
-      bool any_changed =
-          parallel ? ParallelReduce(threads, 0, n, false, round, any) : round(0, n);
-      cur.swap(next);
-      if (!any_changed) break;
-      changed.RecountDense();
-      if (changed.size() > n / 8) {
-        active.SetAll();
-      } else {
-        changed.ToSparse();
-        next_active.ClearDense();
-        uint64_t marked = 0;
-        auto wake = [&](VertexId u) {
-          marked += next_active.AtomicTestAndSet(u) ? 1 : 0;
-        };
-        for (VertexId v : changed.Vertices()) {
-          for (VertexId u : g.OutNeighbors(v)) wake(u);
-          if (g.directed()) {
-            for (VertexId u : g.InNeighbors(v)) wake(u);
-          }
-        }
-        next_active.SetCount(marked);
-        std::swap(active, next_active);
-      }
-    }
-  }
-  ComponentResult result = Relabel(cur, n);
-  obs::AddCounter("cc.labelprop.runs", 1);
-  obs::AddCounter(options.use_frontier ? "cc.labelprop.frontier_runs"
-                                       : "cc.labelprop.full_sweep_runs",
-                  1);
-  obs::AddCounter("cc.labelprop.rounds", static_cast<int64_t>(rounds));
-  obs::AddCounter("cc.labelprop.vertices_activated",
-                  static_cast<int64_t>(activations));
-  obs::AddCounter("cc.labelprop.components", result.num_components);
-  return result;
+    return ParallelReduce(workers, 0, n, uint64_t{0}, map, std::plus<>());
+  };
+
+  uint64_t linked = link_pass([](uint64_t) { return true; }, 0, kFirstNeighbors, false);
+  uf.Compress(workers);
+  // The giant component is snapshotted before the finish pass: its links move roots,
+  // and a live test would make the skipped set (and cc.arcs_linked) depend on the
+  // interleaving.
+  const std::span<const uint32_t> root = uf.parents();
+  const VertexId giant = SampleGiantRoot(root);
+  std::vector<uint8_t> outside(n);
+  ParallelForChunks(workers, 0, n, [&](uint64_t b, uint64_t e) {
+    for (uint64_t v = b; v < e; ++v) outside[v] = root[v] != giant;
+  });
+  // Undirected in-arcs alias the out-arcs.
+  linked += link_pass([&](uint64_t u) { return outside[u] != 0; },
+                      kFirstNeighbors, UINT64_MAX, g.directed());
+  uf.Compress(workers);
+  obs::AddCounter("cc.arcs_linked", static_cast<int64_t>(linked));
+  return CanonicalComponents(uf.parents());
 }
 
 }  // namespace

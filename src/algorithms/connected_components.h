@@ -1,9 +1,11 @@
 // Connected components — the survey's most-used graph computation (Table 9,
-// 55/89 participants). Weakly connected components via union-find or BFS, and
-// strongly connected components via iterative Tarjan.
+// 55/89 participants). Weak components via a serial union-find (the oracle) or a
+// concurrent one (the parallel kernel); strong components via iterative Tarjan.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -14,23 +16,6 @@ class CompressedCsrGraph;
 }
 
 namespace ubigraph::algo {
-
-/// Disjoint-set forest with union by rank and path halving.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n);
-
-  size_t Find(size_t x);
-  /// Returns true if the two sets were merged (false if already joined).
-  bool Union(size_t a, size_t b);
-  size_t num_sets() const { return num_sets_; }
-  size_t size() const { return parent_.size(); }
-
- private:
-  std::vector<uint32_t> parent_;
-  std::vector<uint8_t> rank_;
-  size_t num_sets_;
-};
 
 /// Component labeling: label[v] in [0, num_components), labels assigned in
 /// order of the smallest vertex in each component.
@@ -44,6 +29,31 @@ struct ComponentResult {
   uint32_t LargestComponent() const;
 };
 
+/// Renumbers raw component labels (any representative per component, e.g. a
+/// union-find root) to the canonical dense form: labels assigned in order of
+/// each component's smallest vertex. Two labelings of one partition compare
+/// equal after this.
+ComponentResult CanonicalComponents(std::span<const uint32_t> raw);
+
+/// Disjoint-set forest with union by rank and path halving.
+class UnionFind {
+ public:
+  explicit UnionFind(size_t n);
+
+  size_t Find(size_t x);
+  /// Returns true if the two sets were merged (false if already joined).
+  bool Union(size_t a, size_t b);
+  size_t num_sets() const { return num_sets_; }
+  size_t size() const { return parent_.size(); }
+  /// The sets as canonical component labels (see CanonicalComponents).
+  ComponentResult Components();
+
+ private:
+  std::vector<uint32_t> parent_;
+  std::vector<uint8_t> rank_;
+  size_t num_sets_;
+};
+
 /// Weakly connected components (edge direction ignored) via union-find.
 /// Works on directed or undirected CSR without needing the in-edge index.
 /// The CompressedCsrGraph overload shares the implementation through the
@@ -51,29 +61,51 @@ struct ComponentResult {
 ComponentResult WeaklyConnectedComponents(const CsrGraph& g);
 ComponentResult WeaklyConnectedComponents(const CompressedCsrGraph& g);
 
-/// Same result computed by repeated BFS over the symmetrized graph — kept as
-/// an independent oracle for tests and as the survey's "BFS-based CC" variant.
-/// Fails with InvalidArgument on a directed graph without the in-edge index.
-Result<ComponentResult> ConnectedComponentsBfs(const CsrGraph& g);
+/// Disjoint-set forest that any number of threads may Link into at once. Link only
+/// ever hooks the larger of two roots under the smaller, so every root is the smallest
+/// vertex of its tree: once the links are done, Compress points every vertex at its
+/// component's smallest vertex however the threads interleaved.
+class ConcurrentUnionFind {
+ public:
+  /// n singleton sets.
+  explicit ConcurrentUnionFind(VertexId n);
+
+  /// Joins the sets of u and v. Safe to call concurrently with other Links.
+  void Link(VertexId u, VertexId v);
+  /// Points every vertex straight at its root. No Link may run meanwhile.
+  void Compress(unsigned workers);
+  /// Parent per vertex; after Compress, its component's smallest vertex.
+  /// Read only while no Link runs.
+  std::span<const uint32_t> parents() const { return parent_; }
+
+ private:
+  /// Root of x's tree, re-pointing each vertex on the way at its grandparent
+  /// (path splitting).
+  VertexId Find(VertexId x);
+  std::atomic_ref<uint32_t> Slot(VertexId v) { return std::atomic_ref(parent_[v]); }
+
+  /// Accessed through Slot while threads link.
+  std::vector<uint32_t> parent_;
+};
+
+/// Graphs with fewer arcs than this run the parallel components kernels
+/// (ConnectedComponentsLabelProp, shard::ShardedComponents) on the calling
+/// thread: below it a fork costs more than the links it spreads.
+inline constexpr uint64_t kSerialLinkArcs = uint64_t{1} << 17;
 
 struct ComponentsOptions {
   /// 0 = hardware_concurrency, 1 = exact serial path (default), >= 2 = that
-  /// many workers.
+  /// many workers. Labels are identical at every setting.
   uint32_t num_threads = 1;
-  /// When true, each round only re-evaluates vertices with an active neighbor
-  /// (a Frontier-tracked working set) instead of sweeping all n vertices.
-  /// This variant drops pointer jumping (a vertex's current representative is
-  /// not a graph neighbor, so it could not be re-activated through the
-  /// frontier) — plain min-label Jacobi — so it usually runs more, cheaper
-  /// rounds. The fixpoint labels are identical either way.
-  bool use_frontier = false;
 };
 
-/// Weak components by Jacobi min-label propagation: each round computes
-/// next[v] = min(cur[v], cur[cur[v]], min over neighbor labels) from the
-/// previous round's labels only, so the fixpoint (and every intermediate
-/// round) is deterministic at any thread count. Labels match
-/// WeaklyConnectedComponents exactly.
+/// Weak components by the concurrent union-find, driven as Afforest (Sutton, Ben-Nun
+/// and Barak, IPDPS 2018): link every vertex to its first two out-neighbours, sample
+/// the giant component, then link the other arcs of every vertex outside it — on a
+/// directed graph its in-arcs too, so an arc out of a skipped giant vertex is still
+/// linked. Labels match WeaklyConnectedComponents exactly, and cc.arcs_linked (arcs
+/// handed to Link) is the same at every thread count. No labels propagate; the name
+/// is kept for callers.
 /// Fails with InvalidArgument on a directed graph without the in-edge index.
 Result<ComponentResult> ConnectedComponentsLabelProp(
     const CsrGraph& g, ComponentsOptions options = {});

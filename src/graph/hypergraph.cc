@@ -92,16 +92,9 @@ std::vector<uint32_t> Hypergraph::ConnectedComponents(
       uf.Union(e.members[0], e.members[i]);
     }
   }
-  std::vector<uint32_t> label(num_vertices());
-  std::vector<uint32_t> dense(num_vertices(), UINT32_MAX);
-  uint32_t next = 0;
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    uint32_t root = static_cast<uint32_t>(uf.Find(v));
-    if (dense[root] == UINT32_MAX) dense[root] = next++;
-    label[v] = dense[root];
-  }
-  if (num_components != nullptr) *num_components = next;
-  return label;
+  algo::ComponentResult cc = uf.Components();
+  if (num_components != nullptr) *num_components = cc.num_components;
+  return std::move(cc.label);
 }
 
 }  // namespace ubigraph

@@ -218,111 +218,47 @@ Result<algo::ComponentResult> ShardedComponents(
     const ShardedCsr& g, const ShardedTraversalOptions& options) {
   const VertexId n = g.num_vertices();
   const uint32_t S = g.num_shards();
-  const unsigned W = ResolveNumThreads(options.num_threads);
+  const unsigned W =
+      g.num_edges() < algo::kSerialLinkArcs ? 1 : ResolveNumThreads(options.num_threads);
   const ShardPlan plan(S, W);
 
-  // Jacobi min-label over the previous round's labels only: min is
-  // order-insensitive, so the fixpoint (and every intermediate round) is
-  // identical at any worker/shard layout. Reverse messages (v -> u's label)
-  // make connectivity weak on directed graphs without an in-edge index, and
-  // the cur[cur[u]] pointer jump keeps round counts near the label-prop
-  // kernel's instead of the graph diameter.
-  std::vector<uint32_t> cur(n), next(n);
-  for (VertexId v = 0; v < n; ++v) cur[v] = v;
-
-  // Arcs each worker decoded: its columns' in-arcs for the forward messages
-  // plus its own rows' out-arcs for the reverse ones, at most 2E a round.
+  // One sweep in PageRank's access pattern, linking every decoded arc. Union is
+  // symmetric, so each arc counts once whatever its direction, and the forest's
+  // roots end as each component's smallest relabeled id whatever the interleaving.
+  algo::ConcurrentUnionFind uf(n);
   std::vector<uint64_t> worker_scanned(W, 0);
-  uint32_t rounds = 0;
-
-  while (true) {
-    // Destination-owned fold: the owner seeds next[v] with the pointer jump,
-    // folds label_u into v over its columns of every segment (forward), and
-    // folds the row minimum into next[u] over every block of its own
-    // segments (reverse); a block in both sets is decoded once for both.
-    // Min commutes, so the round equals the serial Jacobi round.
-    UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
-      const uint32_t lo = plan.lo(w), hi = plan.hi(w);
-      const VertexId db = g.shard_begin(lo);
-      const VertexId de = g.shard_begin(hi);
-      if (db == de) return Status::OK();
-      for (VertexId v = db; v < de; ++v) {
-        next[v] = std::min(cur[v], cur[cur[v]]);
+  UG_RETURN_NOT_OK(RunWorkers(W, [&](unsigned w) -> Status {
+    if (plan.lo(w) == plan.hi(w)) return Status::OK();
+    uint64_t arcs = 0;
+    auto link = [&](VertexId u, auto ids) {
+      for (VertexId v : ids) {
+        uf.Link(u, v);
+        ++arcs;
       }
-      uint64_t arcs = 0;
-      auto forward = [&](VertexId u, auto ids) {
-        const uint32_t label_u = cur[u];
-        for (VertexId v : ids) {
-          next[v] = std::min(next[v], label_u);
-          ++arcs;
-        }
-      };
-      auto reverse = [&](VertexId u, auto ids) {
-        uint32_t best = UINT32_MAX;
-        for (VertexId v : ids) {
-          best = std::min(best, cur[v]);
-          ++arcs;
-        }
-        next[u] = std::min(next[u], best);
-      };
-      auto both = [&](VertexId u, auto ids) {
-        const uint32_t label_u = cur[u];
-        uint32_t best = UINT32_MAX;
-        for (VertexId v : ids) {
-          best = std::min(best, cur[v]);
-          next[v] = std::min(next[v], label_u);
-          ++arcs;
-        }
-        next[u] = std::min(next[u], best);
-      };
-      for (uint32_t s = 0; s < S; ++s) {
-        UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
-        const SegmentView& view = pin.view();
-        const bool own_rows = s >= lo && s < hi;
-        for (uint32_t t = own_rows ? 0 : lo; t < (own_rows ? S : hi); ++t) {
-          const VertexId c0 = g.shard_begin(t), c1 = g.shard_begin(t + 1);
-          const bool own_column = t >= lo && t < hi;
-          UG_RETURN_NOT_OK(!own_rows    ? view.ScanBlock(t, c0, c1, forward)
-                           : own_column ? view.ScanBlock(t, c0, c1, both)
-                                        : view.ScanBlock(t, c0, c1, reverse));
-        }
-      }
-      worker_scanned[w] += arcs;
-      return Status::OK();
-    }));
-
-    ++rounds;
-    bool changed = false;
-    for (VertexId v = 0; v < n; ++v) {
-      if (next[v] != cur[v]) {
-        changed = true;
-        break;
+    };
+    for (uint32_t s = 0; s < S; ++s) {
+      UG_ASSIGN_OR_RETURN(SegmentCache::Pin pin, g.AcquireShard(s));
+      const SegmentView& view = pin.view();
+      for (uint32_t t = plan.lo(w); t < plan.hi(w); ++t) {
+        UG_RETURN_NOT_OK(view.ScanBlock(t, g.shard_begin(t),
+                                        g.shard_begin(t + 1), link));
       }
     }
-    cur.swap(next);
-    if (!changed) break;
-    // next[] is stale after the swap; the coming round's seed loop rewrites
-    // every entry, including degree-0 vertices.
-  }
+    worker_scanned[w] = arcs;
+    return Status::OK();
+  }));
+  uf.Compress(W);
 
   // Canonical labels in ORIGINAL id space: first appearance in ascending
   // original order, exactly algo::WeaklyConnectedComponents' numbering.
   const std::span<const VertexId> old_to_new = g.OldToNew(W);
-  algo::ComponentResult result;
-  result.label.resize(n);
-  std::vector<uint32_t> canon(n, UINT32_MAX);
-  uint32_t num = 0;
-  for (VertexId old = 0; old < n; ++old) {
-    const uint32_t root = cur[old_to_new[old]];
-    if (canon[root] == UINT32_MAX) canon[root] = num++;
-    result.label[old] = canon[root];
-  }
-  result.num_components = num;
+  const std::span<const uint32_t> root = uf.parents();
+  std::vector<uint32_t> rep(n);
+  for (VertexId old = 0; old < n; ++old) rep[old] = root[old_to_new[old]];
   obs::AddCounter("shard.cc.edges_scanned",
                   std::accumulate(worker_scanned.begin(), worker_scanned.end(),
                                   int64_t{0}));
-  obs::AddCounter("shard.cc.rounds", rounds);
-  return result;
+  return algo::CanonicalComponents(rep);
 }
 
 }  // namespace ubigraph::shard

@@ -10,18 +10,18 @@
 // destination shards — grid columns — and each worker scans only its own
 // columns' blocks, segment by ascending segment, folding every arc straight
 // into the dense per-vertex state it owns (next-rank, distance + frontier
-// flags, next-label) with no message buffering at all. Each destination is
-// owned by exactly one worker and every block lists its rows in ascending
-// order, so every accumulator sees its contributions in the SERIAL in-RAM
-// push kernel's float association — at any thread count and any shard
-// count. Dangling mass and the L1 delta are straight serial O(V) loops for
-// the same reason. PageRank decodes each arc once per iteration and BFS each
-// frontier arc once per level (shard.pagerank.edges_streamed and
-// shard.bfs.edges_scanned count them); CC decodes an arc at most twice per
-// round, once for its forward and once for its reverse message
-// (shard.cc.edges_scanned). Every decoded id is checked against
-// its block's column before it indexes vertex state, so a segment file
-// altered between loads yields Status::Corruption, never a stray write.
+// flags) with no message buffering at all — or, for CC, linking it into one
+// shared algo::ConcurrentUnionFind. Each destination is owned by exactly one
+// worker and every block lists its rows in ascending order, so every
+// accumulator sees its contributions in the SERIAL in-RAM push kernel's
+// float association — at any thread count and any shard count. Dangling
+// mass and the L1 delta are straight serial O(V) loops for the same reason.
+// PageRank decodes each arc once per iteration, BFS each frontier arc once
+// per level and CC each arc once per call (shard.pagerank.edges_streamed,
+// shard.bfs.edges_scanned and shard.cc.edges_scanned count them). Every
+// decoded id is checked against its block's column before it indexes vertex
+// state, so a segment file altered between loads yields Status::Corruption,
+// never a stray write.
 // Consequences, enforced by tests/sharded_test.cc:
 //
 //   * PageRank under ShardPartitioner::kContiguous (identity relabel) is
@@ -80,11 +80,11 @@ Result<std::vector<uint32_t>> ShardedBfs(
     const ShardedCsr& g, VertexId source,
     const ShardedTraversalOptions& options = {});
 
-/// Weakly connected components by Jacobi min-label propagation with pointer
-/// jumping; edge direction is ignored (each scanned arc also sends its
-/// reverse message). Labels match algo::WeaklyConnectedComponents exactly:
-/// canonical ids assigned by first appearance in ascending ORIGINAL vertex
-/// order.
+/// Weakly connected components in one sweep: every arc is decoded once and
+/// linked into an algo::ConcurrentUnionFind (union ignores direction).
+/// Labels match algo::WeaklyConnectedComponents exactly: canonical ids
+/// assigned by first appearance in ascending ORIGINAL vertex order. Graphs
+/// below algo::kSerialLinkArcs run on the calling thread.
 Result<algo::ComponentResult> ShardedComponents(
     const ShardedCsr& g, const ShardedTraversalOptions& options = {});
 

@@ -1,8 +1,8 @@
 #include "stream/incremental.h"
 
-#include <algorithm>
 #include <string>
 
+#include "algorithms/connected_components.h"
 #include "obs/metrics.h"
 
 namespace ubigraph::stream {
@@ -19,23 +19,7 @@ void FlushIncrementalWork(std::string_view kernel, const IncrementalWork& work) 
 }
 
 std::vector<uint32_t> CanonicalComponentLabels(std::span<const uint32_t> labels) {
-  // First-appearance renumbering: scanning vertices in ascending id order,
-  // each distinct raw label gets the next canonical id the first time it is
-  // seen. Since a component's smallest vertex is the first of its members to
-  // be scanned, this reproduces the smallest-vertex-order convention of
-  // algo::WeaklyConnectedComponents regardless of the raw label values.
-  std::vector<uint32_t> canonical(labels.size());
-  std::vector<uint32_t> remap;  // raw label -> canonical id (+1; 0 = unseen)
-  uint32_t max_raw = 0;
-  for (uint32_t l : labels) max_raw = std::max(max_raw, l);
-  remap.assign(static_cast<size_t>(max_raw) + 1, 0);
-  uint32_t next = 0;
-  for (size_t v = 0; v < labels.size(); ++v) {
-    uint32_t& slot = remap[labels[v]];
-    if (slot == 0) slot = ++next;
-    canonical[v] = slot - 1;
-  }
-  return canonical;
+  return algo::CanonicalComponents(labels).label;
 }
 
 Status ValidateDeltaEndpoints(std::span<const GraphDelta> deltas,

@@ -49,10 +49,8 @@ struct IncrementalWork {
 /// rebuilds,batches}. No-op while instrumentation is disabled.
 void FlushIncrementalWork(std::string_view kernel, const IncrementalWork& work);
 
-/// Remaps arbitrary component labels to the canonical form used across the
-/// repo: labels are assigned in order of the smallest vertex id in each
-/// component (the convention of algo::WeaklyConnectedComponents), so two
-/// labelings of the same partition compare equal after canonicalization.
+/// algo::CanonicalComponents' labels: arbitrary component labels remapped to
+/// the repo's canonical smallest-vertex order.
 std::vector<uint32_t> CanonicalComponentLabels(std::span<const uint32_t> labels);
 
 /// Checks every delta's endpoints against the vertex universe. The engines

@@ -2,18 +2,15 @@
 
 #include <string>
 
-#include "graph/csr_graph.h"
-
 namespace ubigraph::stream {
 
-IncrementalComponents::IncrementalComponents(VertexId n, Options options)
-    : n_(n), options_(options), uf_(n) {}
+IncrementalComponents::IncrementalComponents(VertexId n) : n_(n), uf_(n) {}
 
 Result<IncrementalComponents> IncrementalComponents::Create(
-    const EdgeList& edges, Options options) {
+    const EdgeList& edges, Options) {
   const VertexId n = edges.num_vertices();
   if (n == 0) return Status::Invalid("IncrementalComponents on empty graph");
-  IncrementalComponents engine(n, options);
+  IncrementalComponents engine(n);
   for (const Edge& e : edges.edges()) {
     if (e.src >= n || e.dst >= n) {
       return Status::OutOfRange("edge endpoint outside vertex universe");
@@ -95,47 +92,19 @@ Result<IncrementalComponents::BatchResult> IncrementalComponents::ApplyBatch(
 }
 
 uint64_t IncrementalComponents::Rebuild() {
-  // Relabel from scratch with the frontier variant of min-label propagation
-  // (identical labels at any thread count), then reseed the union-find from
-  // the labels so subsequent insertions resume in near-constant time.
-  EdgeList live(n_);
-  uint64_t scanned = 0;
+  uf_ = algo::UnionFind(n_);
+  uint64_t linked = 0;
   for (const auto& [arc, count] : mult_) {
     if (arc.first == arc.second) continue;
-    live.Add(arc.first, arc.second);
-    ++scanned;
-  }
-  auto csr = CsrGraph::FromEdges(std::move(live),
-                                 CsrOptions{.directed = false,
-                                            .deduplicate = true,
-                                            .remove_self_loops = true,
-                                            .num_threads = options_.num_threads});
-  auto components = algo::ConnectedComponentsLabelProp(
-      csr.ValueOrDie(),
-      algo::ComponentsOptions{.num_threads = options_.num_threads,
-                              .use_frontier = true});
-  const std::vector<uint32_t>& label = components.ValueOrDie().label;
-  uf_ = algo::UnionFind(n_);
-  std::vector<VertexId> rep(components.ValueOrDie().num_components,
-                            static_cast<VertexId>(n_));
-  for (VertexId v = 0; v < n_; ++v) {
-    VertexId& r = rep[label[v]];
-    if (r == static_cast<VertexId>(n_)) {
-      r = v;
-    } else {
-      uf_.Union(r, v);
-    }
+    uf_.Union(arc.first, arc.second);
+    ++linked;
   }
   ++rebuilds_;
-  return scanned;
+  return linked;
 }
 
 std::vector<uint32_t> IncrementalComponents::Labels() const {
-  std::vector<uint32_t> raw(n_);
-  for (VertexId v = 0; v < n_; ++v) {
-    raw[v] = static_cast<uint32_t>(uf_.Find(v));
-  }
-  return CanonicalComponentLabels(raw);
+  return uf_.Components().label;
 }
 
 }  // namespace ubigraph::stream

@@ -3,9 +3,10 @@
 // (component merges only ever coarsen the partition). Deletions can split a
 // component, which union-find cannot undo, so a batch whose deletions remove
 // the last undirected connection between two distinct endpoints triggers ONE
-// full relabel at the end of the batch — counted in rebuilds(), the
-// cost-asymmetry knob mirroring IncrementalKCore::full_rebuilds(). Deletions
-// of parallel arcs (another copy survives) and self-loops never rebuild.
+// rebuild at the end of the batch — the union-find re-seeded from the live
+// arcs, counted in rebuilds(), the cost-asymmetry knob mirroring
+// IncrementalKCore::full_rebuilds(). Deletions of parallel arcs (another copy
+// survives) and self-loops never rebuild.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,7 @@
 namespace ubigraph::stream {
 
 struct IncrementalComponentsOptions {
-  /// Thread count handed to the label-propagation relabel on rebuilds.
-  /// Labels are identical at every setting (min-label Jacobi fixpoint), so
-  /// this only affects rebuild latency.
+  /// Unused: the engine is serial. Kept so existing callers compile.
   uint32_t num_threads = 1;
 };
 
@@ -63,14 +62,13 @@ class IncrementalComponents {
   uint64_t rebuilds() const { return rebuilds_; }
 
  private:
-  IncrementalComponents(VertexId n, Options options);
+  explicit IncrementalComponents(VertexId n);
 
-  /// Re-derives the union-find from the live undirected multiplicity map.
-  /// Returns the number of live arcs scanned (the rebuild's edge work).
+  /// Re-seeds the union-find from the live multiplicity map. Returns the
+  /// number of live non-loop arcs linked (the rebuild's edge work).
   uint64_t Rebuild();
 
   VertexId n_ = 0;
-  Options options_;
   uint64_t num_edges_ = 0;
   uint64_t rebuilds_ = 0;
   /// Live multiplicity per directed (src, dst) arc; zero-count keys erased.

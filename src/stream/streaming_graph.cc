@@ -1,25 +1,12 @@
 #include "stream/streaming_graph.h"
 
-#include <numeric>
-
 namespace ubigraph::stream {
 
 StreamingGraph::StreamingGraph(VertexId num_vertices, StreamingOptions options)
     : options_(options),
       adjacency_(num_vertices),
       degree_(num_vertices, 0),
-      parent_(num_vertices),
-      components_(num_vertices) {
-  std::iota(parent_.begin(), parent_.end(), 0u);
-}
-
-uint32_t StreamingGraph::Find(uint32_t x) {
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];
-    x = parent_[x];
-  }
-  return x;
-}
+      uf_(num_vertices) {}
 
 uint64_t StreamingGraph::CountCommonNeighbors(VertexId u, VertexId v) const {
   const auto& a = adjacency_[u];
@@ -55,13 +42,7 @@ Status StreamingGraph::AddEdge(VertexId u, VertexId v, uint64_t timestamp) {
   ++degree_[v];
   live_.push_back(TimedEdge{u, v, timestamp});
 
-  if (!dirty_) {
-    uint32_t ru = Find(u), rv = Find(v);
-    if (ru != rv) {
-      parent_[ru] = rv;
-      --components_;
-    }
-  }
+  if (!dirty_) uf_.Union(u, v);
   return Status::OK();
 }
 
@@ -103,22 +84,15 @@ void StreamingGraph::Expire() {
 }
 
 void StreamingGraph::RebuildComponents() {
-  std::iota(parent_.begin(), parent_.end(), 0u);
-  components_ = static_cast<uint32_t>(parent_.size());
-  for (const TimedEdge& e : live_) {
-    uint32_t ru = Find(e.u), rv = Find(e.v);
-    if (ru != rv) {
-      parent_[ru] = rv;
-      --components_;
-    }
-  }
+  uf_ = algo::UnionFind(uf_.size());
+  for (const TimedEdge& e : live_) uf_.Union(e.u, e.v);
   dirty_ = false;
   expiries_since_rebuild_ = 0;
 }
 
 uint32_t StreamingGraph::NumComponents() {
   if (dirty_) RebuildComponents();
-  return components_;
+  return static_cast<uint32_t>(uf_.num_sets());
 }
 
 double StreamingGraph::MeanDegree() const {

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "algorithms/connected_components.h"
 #include "common/result.h"
 #include "graph/edge_list.h"
 
@@ -76,12 +77,9 @@ class StreamingGraph {
   uint64_t triangles_ = 0;
 
   // Union-find over live vertices; exact until a deletion happens.
-  std::vector<uint32_t> parent_;
-  uint32_t components_ = 0;
+  algo::UnionFind uf_;
   bool dirty_ = false;
   uint64_t expiries_since_rebuild_ = 0;
-
-  uint32_t Find(uint32_t x);
 };
 
 }  // namespace ubigraph::stream

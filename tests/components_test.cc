@@ -4,6 +4,7 @@
 
 #include "algorithms/connected_components.h"
 #include "common/random.h"
+#include "components_oracle.h"
 #include "gen/generators.h"
 
 namespace ubigraph::algo {
@@ -66,7 +67,7 @@ TEST(WccTest, AgreesWithBfsVariant) {
     opts.build_in_edges = true;
     CsrGraph g = CsrGraph::FromEdges(std::move(el), opts).ValueOrDie();
     ComponentResult a = WeaklyConnectedComponents(g);
-    ComponentResult b = ConnectedComponentsBfs(g).ValueOrDie();
+    ComponentResult b = oracle::ConnectedComponentsBfs(g).ValueOrDie();
     EXPECT_EQ(a.num_components, b.num_components);
     EXPECT_EQ(a.label, b.label);  // both order by smallest member
   }

@@ -201,25 +201,19 @@ TEST_P(CorpusDifferentialTest, ComponentsAgreeAcrossRepresentations) {
       algo::WeaklyConnectedComponents(reps.plain);
 
   for (uint32_t threads : kThreadCounts) {
-    for (bool frontier : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " frontier=" + std::to_string(frontier));
-      algo::ComponentsOptions opts;
-      opts.num_threads = threads;
-      opts.use_frontier = frontier;
-      const auto lp =
-          algo::ConnectedComponentsLabelProp(reps.plain, opts).ValueOrDie();
-      EXPECT_EQ(lp.num_components, oracle.num_components);
-      EXPECT_EQ(lp.label, oracle.label);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    algo::ComponentsOptions opts;
+    opts.num_threads = threads;
+    const auto lp =
+        algo::ConnectedComponentsLabelProp(reps.plain, opts).ValueOrDie();
+    EXPECT_EQ(lp.num_components, oracle.num_components);
+    EXPECT_EQ(lp.label, oracle.label);
+    EXPECT_EQ(algo::ConnectedComponentsLabelProp(reps.compressed, opts).ValueOrDie().label,
+              oracle.label);
   }
 
   const auto compressed_uf = algo::WeaklyConnectedComponents(reps.compressed);
   EXPECT_EQ(compressed_uf.label, oracle.label);
-  const auto compressed_lp =
-      algo::ConnectedComponentsLabelProp(reps.compressed, {.num_threads = 4})
-          .ValueOrDie();
-  EXPECT_EQ(compressed_lp.label, oracle.label);
 
   // Permuted labels differ in value (canonical labels are id-derived) but
   // must induce the identical partition: same component count, and two old

@@ -1,5 +1,5 @@
 // Differential tests for the direction-optimizing layer: hybrid BFS vs the
-// exact-serial push oracle, PageRank mode equivalence, frontier CC vs
+// exact-serial push oracle, PageRank mode equivalence, parallel CC vs
 // union-find, in-edge Status contracts, and bitwise-identical parallel CSR
 // builds.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/traversal.h"
 #include "common/random.h"
+#include "components_oracle.h"
 #include "gen/generators.h"
 #include "graph/csr_graph.h"
 #include "graph/frontier.h"
@@ -157,7 +158,7 @@ TEST(InEdgeContractTest, DirectedWithoutInIndexFailsWithClearStatus) {
   EXPECT_TRUE(algo::PageRank(g, pr).ok());
 
   EXPECT_FALSE(algo::ConnectedComponentsLabelProp(g).ok());
-  EXPECT_FALSE(algo::ConnectedComponentsBfs(g).ok());
+  EXPECT_FALSE(oracle::ConnectedComponentsBfs(g).ok());
 }
 
 TEST(PageRankModeTest, AutoResolvesByInEdgeAvailability) {
@@ -226,7 +227,6 @@ TEST(FrontierCcTest, MatchesUnionFindAcrossThreads) {
     algo::ComponentResult oracle = algo::WeaklyConnectedComponents(g);
     for (uint32_t threads : kThreadCounts) {
       algo::ComponentsOptions opts;
-      opts.use_frontier = true;
       opts.num_threads = threads;
       auto cc = algo::ConnectedComponentsLabelProp(g, opts).ValueOrDie();
       EXPECT_EQ(cc.label, oracle.label) << name << " threads=" << threads;

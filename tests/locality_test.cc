@@ -247,18 +247,14 @@ TEST(LocalityDifferentialTest, ConnectedComponentsExactUnderPermutation) {
               canon_base)
         << OrderingKindName(kind);
     for (uint32_t threads : kThreadCounts) {
-      for (bool frontier : {false, true}) {
-        algo::ComponentsOptions opts;
-        opts.num_threads = threads;
-        opts.use_frontier = frontier;
-        auto cc = algo::ConnectedComponentsLabelProp(p.graph, opts).ValueOrDie();
-        EXPECT_EQ(cc.num_components, baseline.num_components)
-            << OrderingKindName(kind) << " threads=" << threads;
-        EXPECT_EQ(CanonLabels(UnpermuteValues<uint32_t>(p.new_to_old, cc.label)),
-                  canon_base)
-            << OrderingKindName(kind) << " threads=" << threads
-            << " frontier=" << frontier;
-      }
+      algo::ComponentsOptions opts;
+      opts.num_threads = threads;
+      auto cc = algo::ConnectedComponentsLabelProp(p.graph, opts).ValueOrDie();
+      EXPECT_EQ(cc.num_components, baseline.num_components)
+          << OrderingKindName(kind) << " threads=" << threads;
+      EXPECT_EQ(CanonLabels(UnpermuteValues<uint32_t>(p.new_to_old, cc.label)),
+                canon_base)
+          << OrderingKindName(kind) << " threads=" << threads;
     }
   }
 }
@@ -370,15 +366,11 @@ TEST(CompressedDifferentialTest, ConnectedComponentsExact) {
   EXPECT_EQ(wcc.label, baseline.label);
   EXPECT_EQ(wcc.num_components, baseline.num_components);
   for (uint32_t threads : kThreadCounts) {
-    for (bool frontier : {false, true}) {
-      algo::ComponentsOptions opts;
-      opts.num_threads = threads;
-      opts.use_frontier = frontier;
-      auto a = algo::ConnectedComponentsLabelProp(c, opts).ValueOrDie();
-      auto b = algo::ConnectedComponentsLabelProp(g, opts).ValueOrDie();
-      EXPECT_EQ(a.label, b.label)
-          << "threads=" << threads << " frontier=" << frontier;
-    }
+    algo::ComponentsOptions opts;
+    opts.num_threads = threads;
+    auto a = algo::ConnectedComponentsLabelProp(c, opts).ValueOrDie();
+    auto b = algo::ConnectedComponentsLabelProp(g, opts).ValueOrDie();
+    EXPECT_EQ(a.label, b.label) << "threads=" << threads;
   }
 }
 

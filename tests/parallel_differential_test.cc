@@ -91,7 +91,7 @@ TEST(ParallelDifferentialTest, ComponentsMatchUnionFindExactly) {
   for (const auto& [name, g] : TestGraphs()) {
     ComponentResult serial_uf = WeaklyConnectedComponents(g);
     ComponentResult serial_lp = ConnectedComponentsLabelProp(g).ValueOrDie();
-    // The serial label-prop fixpoint already matches union-find labels.
+    // The serial path already matches union-find labels.
     ASSERT_EQ(serial_lp.label, serial_uf.label) << name;
     ASSERT_EQ(serial_lp.num_components, serial_uf.num_components) << name;
     for (uint32_t threads : kThreadCounts) {
