@@ -153,8 +153,8 @@ void BM_CypherTwoHopInterp(benchmark::State& state) {
 }
 BENCHMARK(BM_CypherTwoHopInterp)->Args({12, 0});
 
-// One-shot vectorized: parse + plan + CSR-view build every iteration (the
-// cost RunCypher pays without an engine).
+// One-shot vectorized: parse + plan + a full CSR-view build every iteration
+// (the cost RunCypher pays without an engine).
 void BM_CypherTwoHopVectorized(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const PropertyGraph& g = SocialGraph(scale);
@@ -186,6 +186,32 @@ void BM_CypherTwoHopCached(benchmark::State& state) {
                  std::to_string(scale));
 }
 BENCHMARK(BM_CypherTwoHopCached)->Args({12, 1024})->Args({12, 1});
+
+// Serving with writes: each iteration adds one "knows" edge, then runs the
+// anchored two-hop read through a warm engine, which catches its CSR view
+// up (one linear merge of the new arc) and re-plans. The graph is this
+// row's own copy, so the edges it adds never reach the rows that share
+// SocialGraph(scale).
+void BM_CypherWriteThenTwoHop(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  PropertyGraph g = SocialGraph(scale);
+  query::QueryEngine engine(
+      g, {.vectorized = true, .batch_size = static_cast<size_t>(state.range(1))});
+  engine.Run(kTwoHop).ValueOrDie();
+  const VertexId people = static_cast<VertexId>(1u) << scale;
+  Rng rng(29);
+  bench::WorkProbe work({"cypher.rows_scanned", "query.view.arcs_merged"});
+  for (auto _ : state) {
+    const VertexId a = static_cast<VertexId>(rng.NextBounded(people));
+    const VertexId b = static_cast<VertexId>(rng.NextBounded(people));
+    g.AddEdge(a, b, "knows").ValueOrDie();
+    benchmark::DoNotOptimize(engine.Run(kTwoHop));
+  }
+  work.Flush(state);
+  state.SetLabel("kernel=cypher mode=write_then_cached graph=social" +
+                 std::to_string(scale));
+}
+BENCHMARK(BM_CypherWriteThenTwoHop)->Args({12, 1024});
 
 // Cold planning cost in isolation: normalize + parse + plan (no execution,
 // no view build — the one-off work a cache hit skips).

@@ -1,16 +1,21 @@
-// Compact per-edge-type CSR adjacency + label index + degree statistics,
-// snapshotted from a PropertyGraph in one pass. This is the data layout the
-// vectorized Cypher executor runs on: batched expand operators read sorted,
-// deduplicated neighbor ranges instead of filtering the property graph's
-// per-vertex edge-id lists edge by edge, and the planner's cost model reads
-// the per-(label, type) average degrees collected during the same build.
+// Compact per-edge-type CSR adjacency + label index + degree statistics over
+// a PropertyGraph. This is the data layout the vectorized Cypher executor
+// runs on: batched expand operators read sorted, deduplicated neighbor
+// ranges instead of filtering the property graph's per-vertex edge-id lists
+// edge by edge, and the planner's cost model reads the per-(label, type)
+// average degrees recomputed from the same rows.
 //
-// The view is immutable; it records the PropertyGraph::version() it was built
-// at so callers (QueryEngine, tests) can detect staleness and rebuild.
+// The graph is append-only and its edge ids are dense, so the view follows
+// it by catching up: CatchUp absorbs the vertices and edges added since the
+// view last saw the graph, merges the new arcs into the sorted rows in one
+// linear pass, and records the PropertyGraph::version() it reached so callers
+// (QueryEngine, tests) can detect staleness. Build is a catch-up from an
+// empty view. Row spans are invalidated by a catch-up.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/property_graph.h"
@@ -48,7 +53,14 @@ class LabelCsrView {
     double AvgDegree(uint32_t label_id, uint32_t type_id, bool out) const;
   };
 
+  /// The view of the whole graph: CatchUp run on an empty view.
   static LabelCsrView Build(const PropertyGraph& graph);
+
+  /// Absorbs every vertex and edge appended to `graph` since this view last
+  /// saw it (the view must come from the same graph) and recomputes the
+  /// statistics. Costs O(V + arcs) for each edge type that gained edges plus
+  /// the any-type view; flushes the new edge count to query.view.arcs_merged.
+  void CatchUp(const PropertyGraph& graph);
 
   uint64_t built_version() const { return built_version_; }
   VertexId num_vertices() const { return num_vertices_; }
@@ -74,13 +86,19 @@ class LabelCsrView {
     std::vector<VertexId> in_sources;  // sorted + dedup'd per row
   };
 
-  static Adjacency BuildAdjacency(VertexId n,
-                                  std::vector<std::pair<VertexId, VertexId>> arcs);
+  using Arc = std::pair<VertexId, VertexId>;
+
+  /// Merges `fresh` (unsorted, possibly repeated arcs) into adj's rows over
+  /// `n` vertices, then rebuilds its in rows from the merged out rows.
+  static void Absorb(Adjacency* adj, VertexId n, std::span<const Arc> fresh);
+
+  void RefreshStats();
 
   const Adjacency* AdjacencyFor(uint32_t type_id) const;
 
   uint64_t built_version_ = 0;
   VertexId num_vertices_ = 0;
+  uint64_t num_edges_ = 0;          // edges [0, num_edges_) are absorbed
   std::vector<Adjacency> by_type_;  // indexed by dictionary id (labels share
                                     // the dict with types; label-only entries
                                     // stay empty)

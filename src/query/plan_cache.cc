@@ -120,7 +120,11 @@ QueryEngine::QueryEngine(const PropertyGraph& graph, ExecOptions options)
 
 void QueryEngine::RefreshIfStale() {
   if (view_ && view_->built_version() == graph_.version()) return;
-  view_.emplace(LabelCsrView::Build(graph_));
+  // The view catches up in place. Cached plans still go: they hold
+  // dictionary ids resolved at plan time, and a name that was unknown then
+  // resolved to kNoSuchId.
+  if (!view_) view_.emplace();
+  view_->CatchUp(graph_);
   cache_.clear();
   ++stats_.stats_rebuilds;
   obs::AddCounter("query.plan.stats_rebuilds", 1);

@@ -1,7 +1,8 @@
 // Prepared-plan cache: a token-level query normalizer that parameterizes
 // literals out of the query text, and a QueryEngine that keeps one
-// LabelCsrView + a bounded plan cache per PropertyGraph, invalidated whenever
-// the graph's mutation version moves.
+// LabelCsrView + a bounded plan cache per PropertyGraph. When the graph's
+// mutation version moves, the view catches up in place and the plans are
+// dropped.
 //
 // Normalization rules (see DESIGN.md "Vectorized query execution"):
 //  - integers and floats become parameters, EXCEPT integers preceded by '*'
@@ -48,8 +49,10 @@ Result<NormalizedQuery> NormalizeCypher(const std::string& text);
 /// Executes Cypher over one PropertyGraph with a warm CSR view and a
 /// prepared-plan cache. Reads through the cache: a hit performs zero parse or
 /// plan work (pinned by the query.plan.* counters). Any graph mutation
-/// (detected via PropertyGraph::version()) rebuilds the view + statistics and
-/// drops all cached plans before the next query runs.
+/// (detected via PropertyGraph::version()) catches the view + statistics up
+/// with the appended vertices and edges (LabelCsrView::CatchUp) and drops all
+/// cached plans before the next query runs: a plan holds dictionary ids
+/// resolved at plan time.
 class QueryEngine {
  public:
   /// Keeps a reference to the graph; the graph must outlive the engine.
@@ -59,13 +62,13 @@ class QueryEngine {
   /// results and errors exactly.
   Result<QueryResult> Run(const std::string& text);
 
-  /// Current view (building it if needed) — exposed for tests and benches.
+  /// Current view (catching it up if needed) — exposed for tests and benches.
   const LabelCsrView& view();
 
   struct Stats {
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
-    uint64_t stats_rebuilds = 0;
+    uint64_t stats_rebuilds = 0;  // view catch-ups, the first build included
   };
   const Stats& stats() const { return stats_; }
   size_t cache_size() const { return cache_.size(); }

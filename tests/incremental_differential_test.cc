@@ -160,6 +160,52 @@ TEST(IncrementalDifferentialTest, LocalizedMixedUpdates) {
   RunDifferential(RmatBase(), 104, StreamKind::kMixed, 24, 4, 12);
 }
 
+TEST(IncrementalDifferentialTest, UpdateStreamRegime) {
+  // The end-to-end benchmark's update_stream regime: a sanitized RMAT-11
+  // base, 64-delta mixed batches in a V/16 window, engines at 4 threads,
+  // checked against recomputes with the benchmark's own bounds (exact cores
+  // and labels, PageRank within L1 1e-6). The window fills as the batches
+  // run, which is where the engines' costs and repair paths change.
+  constexpr size_t kBatches = 96;
+  constexpr size_t kCheckEvery = 8;
+  Rng rng(6);
+  const EdgeList base = gen::Rmat(11, uint64_t{8} << 11, &rng).ValueOrDie();
+  const VertexId n = base.num_vertices();
+  UpdateStreamGen gen(base, 1, {.window = n / 16});
+  const EdgeList init = gen.InitialEdges();
+  auto pagerank =
+      IncrementalPageRank::Create(init, {.num_threads = 4}).ValueOrDie();
+  auto components =
+      IncrementalComponents::Create(init, {.num_threads = 4}).ValueOrDie();
+  IncrementalKCore kcore(n, {.num_threads = 4});
+  for (const Edge& e : init.edges()) ASSERT_TRUE(kcore.InsertEdge(e.src, e.dst).ok());
+
+  for (size_t b = 1; b <= kBatches; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const std::vector<GraphDelta> batch = gen.NextBatch(StreamKind::kMixed, 64);
+    ASSERT_TRUE(pagerank.ApplyBatch(batch).ok());
+    ASSERT_TRUE(components.ApplyBatch(batch).ok());
+    ASSERT_TRUE(kcore.ApplyBatch(batch).ok());
+    if (b % kCheckEvery != 0 && b != kBatches) continue;
+
+    const EdgeList live = gen.LiveEdges();
+    const auto directed =
+        CsrGraph::FromEdges(live, CsrOptions{.build_in_edges = true}).ValueOrDie();
+    algo::PageRankOptions popts;
+    popts.max_iterations = 200;
+    popts.mode = algo::PageRankMode::kPull;
+    const std::vector<double> ref = algo::PageRank(directed, popts).ValueOrDie().scores;
+    ASSERT_EQ(ref.size(), pagerank.scores().size());
+    double l1 = 0;
+    for (size_t i = 0; i < ref.size(); ++i) l1 += std::fabs(ref[i] - pagerank.scores()[i]);
+    EXPECT_LE(l1, 1e-6);
+    const algo::ComponentResult cc = algo::WeaklyConnectedComponents(directed);
+    EXPECT_EQ(components.Labels(), cc.label);
+    EXPECT_EQ(components.num_components(), cc.num_components);
+    EXPECT_EQ(kcore.core_numbers(), OracleCores(live));
+  }
+}
+
 TEST(IncrementalDifferentialTest, BadBatchRejectedAtomically) {
   const EdgeList base = RmatBase();
   UpdateStreamGen gen(base, 55);

@@ -4,12 +4,16 @@
 // oracle: the vectorized engine must produce bitwise-identical results —
 // same columns, same rows, same row ORDER — at every batch size, on every
 // query, on every graph shape.
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "gen/generators.h"
 #include "graph/label_csr.h"
 #include "graph/property_graph.h"
@@ -487,6 +491,21 @@ TEST(QueryEngine, NewLabelAfterCachedPlanIsPickedUp) {
   EXPECT_EQ(std::get<int64_t>(engine.Run(q).ValueOrDie().rows[0][0]), 1);
 }
 
+TEST(QueryEngine, NewEdgeTypeAfterCachedPlanIsPickedUp) {
+  // The edge-type twin of the label case: the view must grow rows for a
+  // type interned after it was built, and the engine must re-plan.
+  PropertyGraph g = SampleGraph();
+  QueryEngine engine(g);
+  const std::string q = "MATCH (a:Person)-[:likes]->(b) RETURN a.name, b.name";
+  EXPECT_TRUE(engine.Run(q).ValueOrDie().rows.empty());
+  g.AddEdge(0, 4, "likes").ValueOrDie();
+  QueryResult r = engine.Run(q).ValueOrDie();
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(std::get<std::string>(r.rows[0][0]), "alice");
+  EXPECT_EQ(std::get<std::string>(r.rows[0][1]), "phone");
+  EXPECT_EQ(engine.stats().cache_hits, 0u);
+}
+
 TEST(QueryEngine, InterpreterModePassesThrough) {
   PropertyGraph g = SampleGraph();
   QueryEngine engine(g, {.vectorized = false});
@@ -565,6 +584,235 @@ TEST(LabelCsr, ParallelEdgesDeduplicated) {
                              {.vectorized = false})
                        .ValueOrDie();
   EXPECT_EQ(r.rows, ri.rows);
+}
+
+// ---------------------------------------------------------------------------
+// LabelCsrView catch-up: after every mutation a caught-up view must equal a
+// fresh Build. At checkpoints the fresh Build must also equal rows and
+// statistics computed straight from the PropertyGraph's edge records, which
+// catches a defect that Build shares with the catch-up.
+
+using Arc = std::pair<VertexId, VertexId>;
+
+void ExpectSameStats(const LabelCsrView::Stats& got,
+                     const LabelCsrView::Stats& want) {
+  EXPECT_EQ(got.num_vertices, want.num_vertices);
+  EXPECT_EQ(got.label_counts, want.label_counts);
+  EXPECT_EQ(got.out_arcs_by_type_label, want.out_arcs_by_type_label);
+  EXPECT_EQ(got.in_arcs_by_type_label, want.in_arcs_by_type_label);
+  EXPECT_EQ(got.arcs_by_type, want.arcs_by_type);
+  EXPECT_EQ(got.out_arcs_by_label, want.out_arcs_by_label);
+  EXPECT_EQ(got.in_arcs_by_label, want.in_arcs_by_label);
+  EXPECT_EQ(got.total_arcs, want.total_arcs);
+}
+
+bool SameRow(std::span<const VertexId> a, std::span<const VertexId> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+void ExpectSameView(const PropertyGraph& g, const LabelCsrView& got,
+                    const LabelCsrView& want) {
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(got.built_version(), want.built_version());
+  const uint32_t dict = static_cast<uint32_t>(g.labels().size());
+  for (uint32_t i = 0; i <= dict; ++i) {  // every dictionary id, then kAnyType
+    const uint32_t t = i == dict ? LabelCsrView::kAnyType : i;
+    for (VertexId v = 0; v < want.num_vertices(); ++v) {
+      ASSERT_TRUE(SameRow(got.OutNeighbors(v, t), want.OutNeighbors(v, t)))
+          << "out row " << v << " of type " << t;
+      ASSERT_TRUE(SameRow(got.InNeighbors(v, t), want.InNeighbors(v, t)))
+          << "in row " << v << " of type " << t;
+    }
+  }
+  for (uint32_t l = 0; l < dict; ++l) {
+    EXPECT_EQ(got.VerticesWithLabel(l), want.VerticesWithLabel(l)) << "label " << l;
+  }
+  ExpectSameStats(got.stats(), want.stats());
+}
+
+// Checks `view` against a brute-force oracle over the graph's edge records:
+// the distinct arcs of each type and of all types, the label lists, and the
+// statistics they imply.
+void ExpectMatchesGraph(const PropertyGraph& g, const LabelCsrView& view) {
+  const size_t dict = g.labels().size();
+  const VertexId n = g.num_vertices();
+  ASSERT_EQ(view.num_vertices(), n);
+  EXPECT_EQ(view.built_version(), g.version());
+  std::vector<std::vector<Arc>> arcs(dict + 1);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Arc arc{g.EdgeSrc(e), g.EdgeDst(e)};
+    arcs[g.EdgeTypeId(e)].push_back(arc);
+    arcs[dict].push_back(arc);
+  }
+  LabelCsrView::Stats want;
+  want.num_vertices = n;
+  want.label_counts.assign(dict, 0);
+  for (VertexId v = 0; v < n; ++v) ++want.label_counts[g.VertexLabelId(v)];
+  want.out_arcs_by_type_label.assign(dict, std::vector<uint64_t>(dict, 0));
+  want.in_arcs_by_type_label.assign(dict, std::vector<uint64_t>(dict, 0));
+  want.arcs_by_type.assign(dict, 0);
+  want.out_arcs_by_label.assign(dict, 0);
+  want.in_arcs_by_label.assign(dict, 0);
+  for (size_t t = 0; t <= dict; ++t) {
+    std::vector<Arc>& list = arcs[t];
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    const uint32_t type = t == dict ? LabelCsrView::kAnyType : static_cast<uint32_t>(t);
+    std::vector<Arc> reversed;
+    for (const auto& [src, dst] : list) {
+      reversed.emplace_back(dst, src);
+      const uint32_t src_label = g.VertexLabelId(src);
+      const uint32_t dst_label = g.VertexLabelId(dst);
+      if (t == dict) {
+        ++want.out_arcs_by_label[src_label];
+        ++want.in_arcs_by_label[dst_label];
+      } else {
+        ++want.out_arcs_by_type_label[t][src_label];
+        ++want.in_arcs_by_type_label[t][dst_label];
+        ++want.arcs_by_type[t];
+      }
+    }
+    std::sort(reversed.begin(), reversed.end());
+    // Both lists are grouped by their first member: walk them row by row.
+    for (const bool out : {true, false}) {
+      const std::vector<Arc>& rows = out ? list : reversed;
+      size_t i = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        std::vector<VertexId> row;
+        for (; i < rows.size() && rows[i].first == v; ++i) row.push_back(rows[i].second);
+        ASSERT_TRUE(SameRow(out ? view.OutNeighbors(v, type) : view.InNeighbors(v, type),
+                            row))
+            << (out ? "out" : "in") << " row " << v << " of type " << type;
+      }
+    }
+  }
+  want.total_arcs = arcs[dict].size();
+  ExpectSameStats(view.stats(), want);
+  for (uint32_t l = 0; l < dict; ++l) {
+    std::vector<VertexId> members;
+    for (VertexId v = 0; v < n; ++v) {
+      if (g.VertexLabelId(v) == l) members.push_back(v);
+    }
+    EXPECT_EQ(view.VerticesWithLabel(l), members) << "label " << l;
+  }
+}
+
+// Applies one seeded mutation. The mix covers every case the catch-up must
+// handle: known and new labels, known and new types (including a label name
+// reused as a type), parallel duplicates, self-loops, arcs into the vertex
+// just added, and property writes that move the version without appending.
+void Mutate(PropertyGraph* g, Rng* rng, int step) {
+  const VertexId n = g->num_vertices();
+  const auto any_vertex = [&] { return static_cast<VertexId>(rng->NextBounded(n)); };
+  const char* const kLabels[] = {"A", "B", "C"};
+  const char* const kTypes[] = {"x", "y", "A"};
+  const uint64_t roll = rng->NextBounded(100);
+  if (roll < 10) {
+    g->AddVertex(kLabels[rng->NextBounded(3)]);
+  } else if (roll < 11) {
+    g->AddVertex("L" + std::to_string(step));
+  } else if (roll < 45) {
+    g->AddEdge(any_vertex(), any_vertex(), kTypes[rng->NextBounded(3)]).ValueOrDie();
+  } else if (roll < 46) {
+    g->AddEdge(any_vertex(), any_vertex(), "T" + std::to_string(step)).ValueOrDie();
+  } else if (roll < 55 && g->num_edges() > 0) {
+    const EdgeId e = rng->NextBounded(g->num_edges());
+    g->AddEdge(g->EdgeSrc(e), g->EdgeDst(e), g->EdgeType(e)).ValueOrDie();
+  } else if (roll < 60) {
+    const VertexId v = any_vertex();
+    g->AddEdge(v, v, kTypes[rng->NextBounded(2)]).ValueOrDie();
+  } else if (roll < 68) {
+    const VertexId newest = n - 1;
+    if (rng->NextBool()) {
+      g->AddEdge(any_vertex(), newest, kTypes[rng->NextBounded(3)]).ValueOrDie();
+    } else {
+      g->AddEdge(newest, any_vertex(), "x").ValueOrDie();
+    }
+  } else if (roll < 90 || g->num_edges() == 0) {
+    g->SetVertexProperty(any_vertex(), "w",
+                         static_cast<int64_t>(rng->NextBounded(20)))
+        .Abort();
+  } else {
+    g->SetEdgeProperty(rng->NextBounded(g->num_edges()), "since",
+                       static_cast<int64_t>(step))
+        .Abort();
+  }
+}
+
+TEST(LabelCsrViewCatchUpTest, MatchesFreshBuildAfterEveryMutation) {
+  constexpr int kMutations = 2000;
+  constexpr int kLazyEvery = 50;
+  // Queries the lazily caught-up engine answers at each checkpoint; "late"
+  // is a type that appears only mid-run, so its cached plan starts out on
+  // the no-match sentinel.
+  const char* const kQueries[] = {
+      "MATCH (a:A {w: 3})-[:x]->(b)-[:y]->(c) RETURN b.w, c.w",
+      "MATCH (p:B) WHERE p.w > 9 RETURN p.w",
+      "MATCH (a:C)-[]-(b:A) RETURN a.w, b.w",
+      "MATCH (a)-[:late]->(b) RETURN a.w, b.w",
+  };
+  Rng rng(2024);
+  PropertyGraph g;
+  for (int i = 0; i < 24; ++i) {
+    const VertexId v = g.AddVertex(i % 3 == 0 ? "A" : i % 3 == 1 ? "B" : "C");
+    g.SetVertexProperty(v, "w", static_cast<int64_t>(i % 20)).Abort();
+  }
+  for (int i = 0; i < 48; ++i) {
+    g.AddEdge(static_cast<VertexId>(rng.NextBounded(24)),
+              static_cast<VertexId>(rng.NextBounded(24)), i % 2 == 0 ? "x" : "y")
+        .ValueOrDie();
+  }
+  QueryEngine eager(g);
+  QueryEngine lazy(g);
+  eager.view();
+  for (const char* text : kQueries) ASSERT_TRUE(lazy.Run(text).ok()) << text;
+
+  for (int step = 1; step <= kMutations; ++step) {
+    SCOPED_TRACE("mutation " + std::to_string(step));
+    Mutate(&g, &rng, step);
+    if (step % 500 == 250) {
+      g.AddEdge(static_cast<VertexId>(rng.NextBounded(g.num_vertices())),
+                g.num_vertices() - 1, "late")
+          .ValueOrDie();
+    }
+    // The eager engine catches up after every mutation.
+    const LabelCsrView fresh = LabelCsrView::Build(g);
+    ExpectSameView(g, eager.view(), fresh);
+    if (HasFailure()) return;  // report the first mutation that diverged
+    if (step % kLazyEvery != 0 && step != kMutations) continue;
+
+    // Checkpoint: the lazy engine absorbs ~50 mutations at once.
+    ExpectMatchesGraph(g, fresh);
+    ExpectSameView(g, lazy.view(), fresh);
+    if (HasFailure()) return;
+    for (const char* text : kQueries) {
+      const QueryResult got = lazy.Run(text).ValueOrDie();
+      const QueryResult want =
+          ExecuteCypherInterpreted(g, ParseCypher(text).ValueOrDie()).ValueOrDie();
+      EXPECT_EQ(got.columns, want.columns) << text;
+      ASSERT_EQ(got.rows, want.rows) << text;
+    }
+  }
+  const auto late = g.labels().Lookup("late");
+  ASSERT_TRUE(late.has_value());
+  EXPECT_GT(lazy.view().stats().arcs_by_type[*late], 0u);
+  EXPECT_EQ(eager.stats().stats_rebuilds, static_cast<uint64_t>(kMutations) + 1);
+}
+
+TEST(LabelCsrViewCatchUpTest, ArcsMergedCountsNewEdges) {
+  PropertyGraph g = SampleGraph();
+  const int64_t before = obs::CounterValue("query.view.arcs_merged");
+  LabelCsrView view = LabelCsrView::Build(g);
+  EXPECT_EQ(obs::CounterValue("query.view.arcs_merged") - before,
+            static_cast<int64_t>(g.num_edges()));
+  g.AddEdge(0, 2, "knows").ValueOrDie();
+  g.AddEdge(0, 2, "knows").ValueOrDie();  // a parallel edge still counts
+  g.SetVertexProperty(0, "age", static_cast<int64_t>(35)).Abort();
+  view.CatchUp(g);
+  EXPECT_EQ(obs::CounterValue("query.view.arcs_merged") - before,
+            static_cast<int64_t>(g.num_edges()));
+  EXPECT_EQ(view.built_version(), g.version());
+  ExpectMatchesGraph(g, view);
 }
 
 }  // namespace
