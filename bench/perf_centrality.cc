@@ -94,17 +94,15 @@ void BM_KCore(benchmark::State& state) {
   const CsrGraph& g = bench::RmatGraph(scale);
   algo::CoreOptions opts;
   opts.num_threads = threads;
-  const char* mode = threads > 1 ? "bucketed" : "serial";
-  // The serial path only flushes kcore.vertices; the bucketed path adds
-  // kcore.decrements. Summing both gives a nonzero work count either way.
-  bench::WorkProbe work({"kcore.decrements", "kcore.vertices"});
+  // Every thread count runs the serial peel (CoreOptions::num_threads is
+  // unused); the rows above 1 thread stay as a thread sweep.
+  bench::WorkProbe work({"kcore.vertices"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(algo::CoreDecomposition(g, opts));
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
   work.Flush(state);
-  state.SetLabel(std::string("kernel=kcore mode=") + mode + " graph=rmat" +
-                 std::to_string(scale));
+  state.SetLabel("kernel=kcore mode=serial graph=rmat" + std::to_string(scale));
   state.counters["threads"] = threads;
 }
 BENCHMARK(BM_KCore)

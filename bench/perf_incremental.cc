@@ -4,11 +4,16 @@
 // recompute over the live edge set after every batch — and reports the work
 // actually performed per batch (edges re-relaxed / arcs scanned) through the
 // `work_items` BENCH.json field, so the cost asymmetry is visible next to
-// the wall-clock numbers.
+// the wall-clock numbers. Two regimes: 16-delta batches in a 64-vertex
+// window from a fresh graph (`*Batch*` rows), and the end-to-end
+// benchmark's update_stream regime, 64-delta batches in a V/16 window after
+// 1,500 warm-up batches have saturated it (`*Saturated*` rows).
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "algorithms/connected_components.h"
 #include "algorithms/kcore.h"
@@ -173,6 +178,122 @@ void BM_KCoreBatchRecompute(benchmark::State& state) {
   FinishBatchBench(state, "kcore_recompute", scale, work);
 }
 BENCHMARK(BM_KCoreBatchRecompute)->Args({10, 1})->Args({12, 1});
+
+// --- the update_stream regime ---
+
+constexpr size_t kSaturatedBatchSize = 64;
+constexpr size_t kWarmupBatches = 1500;
+
+/// The stream's generator after kWarmupBatches untimed mixed batches in a
+/// V/16 window: by then deletions have drained most arcs outside the window
+/// and inserts have filled it, so the live graph is a dense DAG (arcs run
+/// from the smaller id to the larger) over the window plus a sparse tail.
+const UpdateStreamGen& SaturatedStream(uint32_t scale) {
+  static std::map<uint32_t, UpdateStreamGen> cache;
+  auto it = cache.find(scale);
+  if (it == cache.end()) {
+    const EdgeList base = StreamBase(scale);
+    UpdateStreamGen gen(base, 80, {.window = base.num_vertices() / 16});
+    for (size_t b = 0; b < kWarmupBatches; ++b) {
+      gen.NextBatch(StreamKind::kMixed, kSaturatedBatchSize);
+    }
+    it = cache.emplace(scale, std::move(gen)).first;
+  }
+  return it->second;
+}
+
+/// The next `count` batches after the warm-up. Every run draws them from a
+/// copy of the same warm generator, so every repetition times the same
+/// batches in the same order.
+std::vector<std::vector<GraphDelta>> SaturatedBatches(uint32_t scale,
+                                                      int64_t count) {
+  UpdateStreamGen gen = SaturatedStream(scale);
+  std::vector<std::vector<GraphDelta>> batches(static_cast<size_t>(count));
+  for (auto& batch : batches) {
+    batch = gen.NextBatch(StreamKind::kMixed, kSaturatedBatchSize);
+  }
+  return batches;
+}
+
+void BM_IncrementalPageRankSaturated(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  stream::IncrementalPageRankOptions opts;
+  opts.tolerance = kTolerance;
+  opts.num_threads = static_cast<uint32_t>(state.range(1));
+  auto engine = stream::IncrementalPageRank::Create(
+                    SaturatedStream(scale).LiveEdges(), opts)
+                    .ValueOrDie();
+  const auto batches = SaturatedBatches(scale, state.max_iterations);
+  uint64_t work = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto res = engine.ApplyBatch(batches[next++]).ValueOrDie();
+    if (!res.converged) {
+      state.SkipWithError("batch did not converge");
+      break;
+    }
+    work += res.edges_rerelaxed;
+  }
+  FinishBatchBench(state, "pagerank_saturated", scale, work);
+}
+BENCHMARK(BM_IncrementalPageRankSaturated)->Args({12, 1});
+
+void BM_IncrementalComponentsSaturated(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  auto engine =
+      stream::IncrementalComponents::Create(SaturatedStream(scale).LiveEdges())
+          .ValueOrDie();
+  const auto batches = SaturatedBatches(scale, state.max_iterations);
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  registry.set_enabled(true);
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.ApplyBatch(batches[next++]).ValueOrDie());
+  }
+  const uint64_t work = static_cast<uint64_t>(
+      registry.GetCounter("stream.incremental.components.edges_rerelaxed")
+          ->Value());
+  registry.set_enabled(false);
+  FinishBatchBench(state, "components_saturated", scale, work);
+}
+BENCHMARK(BM_IncrementalComponentsSaturated)->Args({12, 1});
+
+void BM_IncrementalKCoreSaturated(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  const EdgeList init = SaturatedStream(scale).LiveEdges();
+  stream::IncrementalKCore engine(init.num_vertices());
+  for (const Edge& e : init.edges()) engine.InsertEdge(e.src, e.dst).Abort();
+  const auto batches = SaturatedBatches(scale, state.max_iterations);
+  uint64_t work = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    work += engine.ApplyBatch(batches[next++]).ValueOrDie().edges_rerelaxed;
+  }
+  FinishBatchBench(state, "kcore_saturated", scale, work);
+}
+BENCHMARK(BM_IncrementalKCoreSaturated)->Args({12, 1});
+
+void BM_KCoreSaturatedRecompute(benchmark::State& state) {
+  const uint32_t scale = static_cast<uint32_t>(state.range(0));
+  // The same batches as BM_IncrementalKCoreSaturated: a copy of the warm
+  // generator redraws them, and its live set is the recompute's input.
+  UpdateStreamGen gen = SaturatedStream(scale);
+  uint64_t work = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    gen.NextBatch(StreamKind::kMixed, kSaturatedBatchSize);
+    EdgeList live = gen.LiveEdges();
+    state.ResumeTiming();
+    CsrOptions copts;
+    copts.directed = false;
+    auto g = CsrGraph::FromEdges(std::move(live), copts).ValueOrDie();
+    benchmark::DoNotOptimize(algo::CoreDecomposition(g));
+    work += g.num_edges();  // undirected CSR already counts both arcs
+  }
+  FinishBatchBench(state, "kcore_saturated_recompute", scale, work);
+}
+BENCHMARK(BM_KCoreSaturatedRecompute)->Args({12, 1});
 
 }  // namespace
 }  // namespace ubigraph

@@ -1,11 +1,8 @@
 #include "algorithms/kcore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
 
-#include "common/buckets.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "graph/compressed_csr.h"
 #include "graph/graph_traits.h"
@@ -33,10 +30,10 @@ std::vector<std::vector<VertexId>> SimpleUndirected(const G& g) {
   return adj;
 }
 
-/// Serial Batagelj-Zaversnik peeling, unchanged from the original kernel:
-/// the oracle the parallel path is differentially tested against.
-std::vector<uint32_t> SerialCoreDecomposition(
-    const std::vector<std::vector<VertexId>>& adj) {
+}  // namespace
+
+std::vector<uint32_t> PeelCoreNumbers(
+    std::span<const std::vector<VertexId>> adj) {
   const VertexId n = static_cast<VertexId>(adj.size());
   std::vector<uint32_t> degree(n);
   uint32_t max_degree = 0;
@@ -83,105 +80,14 @@ std::vector<uint32_t> SerialCoreDecomposition(
   return core;
 }
 
-/// Vertices per decrement chunk in the parallel peel.
-constexpr uint64_t kPeelGrain = 128;
-
-/// Bucketed parallel peeling (ParK/Julienne style): round k drains degree
-/// bucket k; peeling cascades within the round through sub-rounds as atomic
-/// decrements drop further vertices to k. Every successful decrement
-/// re-inserts the vertex at its new degree (lazy re-bucketing); the serial
-/// claim step between sub-rounds discards entries whose vertex was already
-/// peeled. Core numbers are a structural invariant of the graph, so the
-/// result is exactly SerialCoreDecomposition's at any worker count.
-std::vector<uint32_t> BucketedCoreDecomposition(
-    const std::vector<std::vector<VertexId>>& adj, unsigned threads) {
-  const VertexId n = static_cast<VertexId>(adj.size());
-  std::vector<uint32_t> core(n, 0);
-  std::vector<uint32_t> deg(n);
-  uint32_t max_degree = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    deg[v] = static_cast<uint32_t>(adj[v].size());
-    max_degree = std::max(max_degree, deg[v]);
-  }
-  BucketStructure buckets(uint64_t{max_degree} + 1);
-  for (VertexId v = 0; v < n; ++v) buckets.Insert(deg[v], v);
-
-  std::vector<uint8_t> peeled(n, 0);
-  std::vector<VertexId> popped, frontier;
-  uint64_t decrements = 0, wasted = 0, subrounds = 0;
-
-  uint64_t bkt;
-  while ((bkt = buckets.PopNextBucket(&popped)) != BucketStructure::kNoBucket) {
-    for (;;) {
-      ++subrounds;
-      // Serial claim: duplicates and already-peeled entries drop out here,
-      // so each vertex is peeled exactly once, at the cursor's level.
-      frontier.clear();
-      for (VertexId v : popped) {
-        if (peeled[v]) {
-          ++wasted;
-          continue;
-        }
-        peeled[v] = 1;
-        core[v] = static_cast<uint32_t>(bkt);
-        frontier.push_back(v);
-      }
-      // Parallel cascade: drop each unpeeled neighbor's degree by one, never
-      // below the current level (the ParK clamp — a vertex pulled under the
-      // level still belongs to this level's core). Insertions collect in
-      // per-chunk buffers merged in ascending chunk order.
-      const uint64_t chunks = NumChunks(0, frontier.size(), kPeelGrain);
-      std::vector<std::vector<BucketItem>> buffers(chunks);
-      std::vector<uint64_t> tallies(chunks, 0);
-      ParallelFor(
-          threads, 0, chunks,
-          [&](uint64_t c) {
-            const uint64_t b = c * kPeelGrain;
-            const uint64_t e = std::min<uint64_t>(b + kPeelGrain, frontier.size());
-            auto& buf = buffers[c];
-            for (uint64_t i = b; i < e; ++i) {
-              for (VertexId u : adj[frontier[i]]) {
-                std::atomic_ref<uint32_t> du(deg[u]);
-                uint32_t d = du.load(std::memory_order_relaxed);
-                while (d > bkt) {
-                  if (du.compare_exchange_weak(d, d - 1,
-                                               std::memory_order_relaxed)) {
-                    ++tallies[c];
-                    buf.emplace_back(d - 1, u);
-                    break;
-                  }
-                }
-              }
-            }
-          },
-          Schedule::kDynamic, 1);
-      for (uint64_t c = 0; c < chunks; ++c) {
-        buckets.InsertBatch(buffers[c]);
-        decrements += tallies[c];
-      }
-      if (!buckets.PopSame(bkt, &popped)) break;
-    }
-  }
-
-  if (obs::Enabled()) {
-    obs::AddCounter("kcore.parallel_runs", 1);
-    obs::AddCounter("kcore.subrounds", static_cast<int64_t>(subrounds));
-    obs::AddCounter("kcore.decrements", static_cast<int64_t>(decrements));
-    obs::AddCounter("kcore.wasted", static_cast<int64_t>(wasted));
-  }
-  return core;
-}
+namespace {
 
 template <NeighborRangeGraph G>
-std::vector<uint32_t> CoreDecompositionImpl(const G& g,
-                                            const CoreOptions& options) {
+std::vector<uint32_t> CoreDecompositionImpl(const G& g) {
   obs::ScopedTrace span("CoreDecomposition");
   Timer timer;
   auto adj = SimpleUndirected(g);
-  const unsigned threads = ResolveNumThreads(options.num_threads);
-  std::vector<uint32_t> core = threads > 1
-                                   ? BucketedCoreDecomposition(adj, threads)
-                                   : SerialCoreDecomposition(adj);
+  std::vector<uint32_t> core = PeelCoreNumbers(adj);
   if (obs::Enabled()) {
     obs::AddCounter("kcore.runs", 1);
     obs::AddCounter("kcore.vertices", static_cast<int64_t>(adj.size()));
@@ -194,13 +100,13 @@ std::vector<uint32_t> CoreDecompositionImpl(const G& g,
 }  // namespace
 
 std::vector<uint32_t> CoreDecomposition(const CsrGraph& g,
-                                        const CoreOptions& options) {
-  return CoreDecompositionImpl(g, options);
+                                        const CoreOptions&) {
+  return CoreDecompositionImpl(g);
 }
 
 std::vector<uint32_t> CoreDecomposition(const CompressedCsrGraph& g,
-                                        const CoreOptions& options) {
-  return CoreDecompositionImpl(g, options);
+                                        const CoreOptions&) {
+  return CoreDecompositionImpl(g);
 }
 
 std::vector<VertexId> KCore(const CsrGraph& g, uint32_t k,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -15,20 +16,26 @@ class CompressedCsrGraph;
 namespace ubigraph::algo {
 
 struct CoreOptions {
-  /// 0 = hardware concurrency, 1 = the exact serial Batagelj-Zaversnik path
-  /// (the default), else bucketed parallel peeling on that many workers.
+  /// Unused: every run is the serial Batagelj-Zaversnik peel, which a
+  /// bucketed parallel peel did not beat at 4 threads (DESIGN.md
+  /// "Priority-bucket execution"). Kept so callers that set a thread count
+  /// on every kernel still compile.
   uint32_t num_threads = 1;
 };
 
 /// Core number per vertex (undirected view; parallel edges collapsed).
-/// core[v] = largest k such that v belongs to the k-core. The parallel path
-/// peels whole degree-buckets per round over the shared priority-bucket
-/// layer with atomic degree decrements; core numbers are a graph invariant,
-/// so it returns exactly the serial result at every thread count.
+/// core[v] = largest k such that v belongs to the k-core.
 std::vector<uint32_t> CoreDecomposition(const CsrGraph& g,
                                         const CoreOptions& options = {});
 std::vector<uint32_t> CoreDecomposition(const CompressedCsrGraph& g,
                                         const CoreOptions& options = {});
+
+/// The serial Batagelj-Zaversnik peel behind CoreDecomposition, O(V + E),
+/// over a caller's simple undirected adjacency: row v lists v's distinct
+/// neighbours (never v itself), and every edge appears in both endpoints'
+/// rows. Row order does not matter. Flushes no counters.
+std::vector<uint32_t> PeelCoreNumbers(
+    std::span<const std::vector<VertexId>> adjacency);
 
 /// Vertices of the k-core (possibly empty).
 std::vector<VertexId> KCore(const CsrGraph& g, uint32_t k,

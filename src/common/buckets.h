@@ -1,7 +1,6 @@
-// Open-bucket priority structure (Julienne-style) shared by the
-// priority-ordered kernels: delta-stepping SSSP buckets vertices by
-// floor(dist / delta), bucketed k-core peeling buckets them by remaining
-// degree. The structure is deliberately *lazy*: entries are never deleted or
+// Open-bucket priority structure (Julienne-style) for the priority-ordered
+// kernels: delta-stepping SSSP buckets vertices by floor(dist / delta).
+// The structure is deliberately *lazy*: entries are never deleted or
 // moved when a vertex's priority improves — the kernel simply inserts a fresh
 // entry into the better bucket and filters stale entries with a recheck when
 // they are popped ("relaxed-write + recheck"). This keeps insertion a plain
@@ -11,9 +10,7 @@
 // frontier builders and ParallelReduce).
 //
 // The extraction cursor is monotone: PopNextBucket only moves forward.
-// Inserts targeting a bucket below the cursor are clamped *to* the cursor —
-// exactly the semantics bucketed peeling needs (a vertex whose degree drops
-// below the level currently being peeled belongs to that level's core).
+// Inserts targeting a bucket below the cursor are clamped *to* the cursor.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +39,6 @@ class BucketStructure {
  public:
   static constexpr uint64_t kNoBucket = UINT64_MAX;
 
-  BucketStructure() = default;
-  /// Pre-sizes the bucket array (e.g. max degree + 1 for peeling); purely an
-  /// allocation hint, buckets grow on demand.
-  explicit BucketStructure(uint64_t bucket_hint) { buckets_.reserve(bucket_hint); }
-
   bool empty() const { return live_ == 0; }
   uint64_t size() const { return live_; }
   /// The bucket the cursor points at (the one PopSame would re-pop).
@@ -68,9 +60,9 @@ class BucketStructure {
   uint64_t PopNextBucket(std::vector<VertexId>* out);
 
   /// Re-drains bucket `b` if entries landed in it since it was popped (the
-  /// within-bucket sub-round of delta-stepping light relaxations and k-core
-  /// cascades). Returns false — leaving *out untouched — once bucket `b` has
-  /// settled and the caller should move on.
+  /// within-bucket sub-round of delta-stepping light relaxations). Returns
+  /// false — leaving *out untouched — once bucket `b` has settled and the
+  /// caller should move on.
   bool PopSame(uint64_t b, std::vector<VertexId>* out);
 
  private:

@@ -5,7 +5,9 @@
 // (incremental_pagerank.h, incremental_components.h, incremental_kcore.h)
 // consume GraphDelta batches — typically drained from a DynamicGraph's delta
 // log — and maintain the exact answer a from-scratch run would produce,
-// touching only the affected region of the graph.
+// reusing what the previous batch left: PageRank sweeps start from the last
+// fixpoint, components absorb insertions in a union-find, and k-core peels
+// its own flat rows once per batch instead of rebuilding a CSR.
 //
 // Observability contract: every ApplyBatch flushes its work tallies through
 // FlushIncrementalWork into stream.incremental.<kernel>.* counters (vertices
@@ -27,8 +29,8 @@ namespace ubigraph::stream {
 /// end of the batch (the registry's flush-at-end discipline; see DESIGN.md
 /// "Observability").
 struct IncrementalWork {
-  /// Vertices whose state was re-derived (gathers, union touches, repair
-  /// candidates) instead of staying quiescent.
+  /// Vertices whose state was re-derived (gathers, union touches, vertices
+  /// a peel ordered) instead of staying quiescent.
   uint64_t vertices_reactivated = 0;
   /// Edges walked while re-deriving — the machine-independent cost to compare
   /// against a full recompute's edge count.

@@ -4,9 +4,8 @@
 // component, which union-find cannot undo, so a batch whose deletions remove
 // the last undirected connection between two distinct endpoints triggers ONE
 // rebuild at the end of the batch — the union-find re-seeded from the live
-// arcs, counted in rebuilds(), the cost-asymmetry knob mirroring
-// IncrementalKCore::full_rebuilds(). Deletions of parallel arcs (another copy
-// survives) and self-loops never rebuild.
+// arcs, counted in rebuilds(), the cost-asymmetry counter. Deletions of
+// parallel arcs (another copy survives) and self-loops never rebuild.
 #pragma once
 
 #include <cstdint>

@@ -1,203 +1,60 @@
 #include "stream/incremental_kcore.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 #include "algorithms/kcore.h"
-#include "common/buckets.h"
-#include "graph/csr_graph.h"
 
 namespace ubigraph::stream {
 
+bool IncrementalKCore::HasEdge(VertexId u, VertexId v) const {
+  return std::binary_search(adjacency_[u].begin(), adjacency_[u].end(), v);
+}
+
+void IncrementalKCore::Insert(VertexId u, VertexId v) {
+  for (auto [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+    auto& row = adjacency_[a];
+    row.insert(std::lower_bound(row.begin(), row.end(), b), b);
+  }
+  ++num_edges_;
+  stale_ = true;
+}
+
+void IncrementalKCore::Remove(VertexId u, VertexId v) {
+  for (auto [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
+    auto& row = adjacency_[a];
+    row.erase(std::lower_bound(row.begin(), row.end(), b));
+  }
+  --num_edges_;
+  stale_ = true;
+}
+
 Status IncrementalKCore::InsertEdge(VertexId u, VertexId v) {
-  return InsertEdgeImpl(u, v, nullptr);
-}
-
-Status IncrementalKCore::RemoveEdge(VertexId u, VertexId v) {
-  return RemoveEdgeImpl(u, v, nullptr);
-}
-
-Status IncrementalKCore::InsertEdgeImpl(VertexId u, VertexId v,
-                                        IncrementalWork* work) {
   if (u >= core_.size() || v >= core_.size()) {
     return Status::OutOfRange("vertex out of range");
   }
   if (u == v) return Status::Invalid("self-loops not supported");
-  if (adjacency_[u].count(v)) {
-    return Status::AlreadyExists("edge already present");
-  }
-  adjacency_[u].insert(v);
-  adjacency_[v].insert(u);
-  ++num_edges_;
-
-  // Subcore repair (Sariyüce et al.): only vertices with core number
-  // r = min(core(u), core(v)) that are K==r-connected to the lower endpoint
-  // can be promoted to r+1, and by at most 1.
-  uint32_t r = std::min(core_[u], core_[v]);
-  VertexId root = core_[u] <= core_[v] ? u : v;
-
-  // Candidate set: BFS from root through vertices with core == r.
-  std::vector<VertexId> candidates;
-  std::unordered_map<VertexId, uint32_t> cd;  // candidate degree
-  std::unordered_set<VertexId> in_candidates;
-  std::deque<VertexId> queue{root};
-  in_candidates.insert(root);
-  uint64_t scanned = 0;
-  while (!queue.empty()) {
-    VertexId w = queue.front();
-    queue.pop_front();
-    candidates.push_back(w);
-    uint32_t degree = 0;
-    scanned += adjacency_[w].size();
-    for (VertexId x : adjacency_[w]) {
-      if (core_[x] > r) {
-        ++degree;
-      } else if (core_[x] == r) {
-        ++degree;
-        if (!in_candidates.count(x)) {
-          in_candidates.insert(x);
-          queue.push_back(x);
-        }
-      }
-    }
-    cd[w] = degree;
-  }
-
-  // Peel candidates that cannot be in the (r+1)-core: they need > r
-  // qualifying neighbors (core > r, or surviving candidates).
-  std::deque<VertexId> evict;
-  for (VertexId w : candidates) {
-    if (cd[w] <= r) evict.push_back(w);
-  }
-  std::unordered_set<VertexId> evicted;
-  while (!evict.empty()) {
-    VertexId w = evict.front();
-    evict.pop_front();
-    if (evicted.count(w)) continue;
-    evicted.insert(w);
-    scanned += adjacency_[w].size();
-    for (VertexId x : adjacency_[w]) {
-      if (in_candidates.count(x) && !evicted.count(x)) {
-        if (--cd[x] <= r && !evicted.count(x)) evict.push_back(x);
-      }
-    }
-  }
-  for (VertexId w : candidates) {
-    if (!evicted.count(w)) core_[w] = r + 1;
-  }
-  if (work != nullptr) {
-    work->vertices_reactivated += candidates.size();
-    work->edges_rerelaxed += scanned;
-  }
+  if (HasEdge(u, v)) return Status::AlreadyExists("edge already present");
+  Insert(u, v);
   return Status::OK();
 }
 
-Status IncrementalKCore::RemoveEdgeImpl(VertexId u, VertexId v,
-                                        IncrementalWork* work) {
+Status IncrementalKCore::RemoveEdge(VertexId u, VertexId v) {
   if (u >= core_.size() || v >= core_.size()) {
     return Status::OutOfRange("vertex out of range");
   }
-  if (!adjacency_[u].count(v)) return Status::NotFound("edge not present");
-  adjacency_[u].erase(v);
-  adjacency_[v].erase(u);
-  --num_edges_;
-  if (options_.repair_deletions) {
-    RepairAfterDeletion(u, v, work);
-    ++deletion_repairs_;
-  } else {
-    RecomputeAllCores();
-    ++full_rebuilds_;
-    if (work != nullptr) {
-      work->vertices_reactivated += core_.size();
-      work->edges_rerelaxed += 2 * num_edges_;
-      ++work->rebuilds;
-    }
-  }
+  if (!HasEdge(u, v)) return Status::NotFound("edge not present");
+  Remove(u, v);
   return Status::OK();
-}
-
-void IncrementalKCore::RepairAfterDeletion(VertexId u, VertexId v,
-                                           IncrementalWork* work) {
-  // Deletion subcore repair (Sariyüce et al.): with r = min(core(u),
-  // core(v)), only vertices with core == r in the subcore of an endpoint
-  // whose core IS r can lose their membership in the r-core, and they drop
-  // by exactly 1. Vertices of higher core never depended on the demoted
-  // ones; vertices of lower core are untouched by the theorem.
-  const uint32_t r = std::min(core_[u], core_[v]);
-  if (r == 0) return;
-
-  // Candidate set: BFS through core==r vertices from the endpoint(s) at
-  // level r (both when the edge joined two level-r subcores).
-  std::vector<VertexId> candidates;
-  std::unordered_map<VertexId, uint32_t> cd;  // # neighbors with core >= r
-  std::unordered_set<VertexId> in_candidates;
-  std::deque<VertexId> queue;
-  if (core_[u] == r) {
-    queue.push_back(u);
-    in_candidates.insert(u);
-  }
-  if (core_[v] == r && !in_candidates.count(v)) {
-    queue.push_back(v);
-    in_candidates.insert(v);
-  }
-  uint64_t scanned = 0;
-  while (!queue.empty()) {
-    VertexId w = queue.front();
-    queue.pop_front();
-    candidates.push_back(w);
-    uint32_t degree = 0;
-    scanned += adjacency_[w].size();
-    for (VertexId x : adjacency_[w]) {
-      if (core_[x] >= r) ++degree;
-      if (core_[x] == r && !in_candidates.count(x)) {
-        in_candidates.insert(x);
-        queue.push_back(x);
-      }
-    }
-    cd[w] = degree;
-  }
-
-  // Bucketed peel over the shared priority-bucket layer: every candidate is
-  // bucketed by its qualifying degree; buckets below r drain in order and
-  // their fresh entries are demoted. A demotion re-inserts each surviving
-  // subcore neighbor at its decremented degree (the structure clamps inserts
-  // up to the cursor), so the pop-time recheck must test `cd < r` — a
-  // clamped entry's bucket index says nothing about its current degree.
-  BucketStructure peel(r + 1);
-  for (VertexId w : candidates) peel.Insert(cd[w], w);
-  std::unordered_set<VertexId> evicted;
-  std::vector<VertexId> drained;
-  uint64_t bucket;
-  while ((bucket = peel.PopNextBucket(&drained)) != BucketStructure::kNoBucket) {
-    if (bucket >= r) break;  // everything at >= r keeps its core number
-    do {
-      for (VertexId w : drained) {
-        if (evicted.count(w) || cd[w] >= r) continue;  // stale entry
-        evicted.insert(w);
-        core_[w] = r - 1;
-        scanned += adjacency_[w].size();
-        for (VertexId x : adjacency_[w]) {
-          if (in_candidates.count(x) && !evicted.count(x)) {
-            peel.Insert(--cd[x], x);
-          }
-        }
-      }
-    } while (peel.PopSame(bucket, &drained));
-  }
-  if (work != nullptr) {
-    work->vertices_reactivated += candidates.size();
-    work->edges_rerelaxed += scanned;
-  }
 }
 
 Result<IncrementalKCore::BatchResult> IncrementalKCore::ApplyBatch(
     std::span<const GraphDelta> deltas) {
   // Phase 1: validate every delta against the batch-adjusted edge set so a
-  // bad batch is rejected before any repair mutates state. Arcs are
-  // undirected here: (u, v) and (v, u) address the same edge.
+  // bad batch is rejected before any row mutates. Arcs are undirected here:
+  // (u, v) and (v, u) address the same edge.
   std::map<std::pair<VertexId, VertexId>, int> present;  // -1/0/+1 vs. base
   for (size_t i = 0; i < deltas.size(); ++i) {
     const GraphDelta& d = deltas[i];
@@ -211,8 +68,7 @@ Result<IncrementalKCore::BatchResult> IncrementalKCore::ApplyBatch(
     }
     auto key = std::minmax(d.src, d.dst);
     int& adj = present[{key.first, key.second}];
-    const bool live =
-        (adjacency_[d.src].count(d.dst) ? 1 : 0) + adj > 0;
+    const bool live = (HasEdge(d.src, d.dst) ? 1 : 0) + adj > 0;
     if (d.kind == GraphDelta::Kind::kInsert) {
       if (live) {
         return Status::AlreadyExists("delta " + std::to_string(i) +
@@ -228,44 +84,41 @@ Result<IncrementalKCore::BatchResult> IncrementalKCore::ApplyBatch(
     }
   }
 
-  // Phase 2: apply in order, accumulating work. The per-delta impls cannot
-  // fail now (phase 1 mirrored their checks), so Abort on the invariant.
-  BatchResult result;
-  IncrementalWork work;
+  // Phase 2: apply in order (phase 1 mirrored every check), then peel once.
   for (const GraphDelta& d : deltas) {
     if (d.kind == GraphDelta::Kind::kInsert) {
-      InsertEdgeImpl(d.src, d.dst, &work).Abort();
+      Insert(d.src, d.dst);
     } else {
-      const uint64_t rebuilds_before = full_rebuilds_;
-      RemoveEdgeImpl(d.src, d.dst, &work).Abort();
-      if (full_rebuilds_ > rebuilds_before) {
-        ++result.full_rebuilds;
-      } else {
-        ++result.deletion_repairs;
-      }
+      Remove(d.src, d.dst);
     }
   }
-  result.vertices_reactivated = work.vertices_reactivated;
-  result.edges_rerelaxed = work.edges_rerelaxed;
+  IncrementalWork work;
+  if (PeelIfStale()) {
+    work = {.vertices_reactivated = core_.size(),
+            .edges_rerelaxed = 2 * num_edges_,
+            .rebuilds = 1};
+  }
   FlushIncrementalWork("kcore", work);
-  return result;
+  return BatchResult{work.vertices_reactivated, work.edges_rerelaxed,
+                     work.rebuilds};
 }
 
-void IncrementalKCore::RecomputeAllCores() {
-  // Full fallback: rebuild a CSR snapshot and rerun batch peeling, routing
-  // the configured thread count to the shared kernel (core numbers are a
-  // graph invariant — identical at every setting).
-  auto csr = CsrGraph::FromEdges(Snapshot(),
-                                 CsrOptions{.directed = false,
-                                            .num_threads = options_.num_threads});
-  core_ = algo::CoreDecomposition(
-      csr.ValueOrDie(), algo::CoreOptions{.num_threads = options_.num_threads});
+bool IncrementalKCore::PeelIfStale() const {
+  if (!stale_) return false;
+  core_ = algo::PeelCoreNumbers(adjacency_);
+  stale_ = false;
+  ++full_rebuilds_;
+  return true;
+}
+
+const std::vector<uint32_t>& IncrementalKCore::core_numbers() const {
+  PeelIfStale();
+  return core_;
 }
 
 uint32_t IncrementalKCore::Degeneracy() const {
-  uint32_t best = 0;
-  for (uint32_t c : core_) best = std::max(best, c);
-  return best;
+  const std::vector<uint32_t>& core = core_numbers();
+  return core.empty() ? 0 : *std::max_element(core.begin(), core.end());
 }
 
 EdgeList IncrementalKCore::Snapshot() const {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "graph/frontier.h"
 
 namespace ubigraph::stream {
 
@@ -17,13 +16,10 @@ void SortedInsert(std::vector<VertexId>& vec, VertexId v) {
   vec.insert(std::upper_bound(vec.begin(), vec.end(), v), v);
 }
 
-// Erases one instance of v from a sorted multiset vector. Returns false if
-// absent.
-bool SortedEraseOne(std::vector<VertexId>& vec, VertexId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it == vec.end() || *it != v) return false;
-  vec.erase(it);
-  return true;
+// Erases one instance of v, which the caller has checked is present, from a
+// sorted multiset vector.
+void SortedEraseOne(std::vector<VertexId>& vec, VertexId v) {
+  vec.erase(std::lower_bound(vec.begin(), vec.end(), v));
 }
 
 uint64_t Multiplicity(const std::vector<VertexId>& vec, VertexId v) {
@@ -31,15 +27,27 @@ uint64_t Multiplicity(const std::vector<VertexId>& vec, VertexId v) {
   return static_cast<uint64_t>(hi - lo);
 }
 
+// Graphs with fewer arcs than this sweep on the calling thread: each sweep
+// forks once, and below it the fork costs more than the gathers it spreads.
+// On update_stream's ~8K-arc graph (two grain-1024 chunks, ~12 us a sweep)
+// forking at 4 threads made whole batches 20-40% slower, and every sweep
+// waited on a second CPU's wake-up, so batch times followed the host's load.
+constexpr uint64_t kSerialSweepArcs = uint64_t{1} << 17;
+
 }  // namespace
 
 IncrementalPageRank::IncrementalPageRank(VertexId n, Options options)
     : n_(n),
       options_(options),
-      out_adj_(n),
       in_adj_(n),
+      out_degree_(n, 0),
       inv_outdeg_(n, 0.0),
       rank_(n, 0.0) {}
+
+void IncrementalPageRank::UpdateInvOutDegree(VertexId v) {
+  inv_outdeg_[v] =
+      out_degree_[v] > 0 ? 1.0 / static_cast<double>(out_degree_[v]) : 0.0;
+}
 
 Result<IncrementalPageRank> IncrementalPageRank::Create(const EdgeList& edges,
                                                         Options options) {
@@ -53,21 +61,15 @@ Result<IncrementalPageRank> IncrementalPageRank::Create(const EdgeList& edges,
     if (e.src >= n || e.dst >= n) {
       return Status::OutOfRange("edge endpoint outside vertex universe");
     }
-    engine.out_adj_[e.src].push_back(e.dst);
     engine.in_adj_[e.dst].push_back(e.src);
+    ++engine.out_degree_[e.src];
   }
-  for (auto& adj : engine.out_adj_) std::sort(adj.begin(), adj.end());
   for (auto& adj : engine.in_adj_) std::sort(adj.begin(), adj.end());
   engine.num_edges_ = edges.num_edges();
-  for (VertexId v = 0; v < n; ++v) {
-    if (!engine.out_adj_[v].empty()) {
-      engine.inv_outdeg_[v] =
-          1.0 / static_cast<double>(engine.out_adj_[v].size());
-    }
-  }
+  for (VertexId v = 0; v < n; ++v) engine.UpdateInvOutDegree(v);
   const double teleport = 1.0 / n;
   for (VertexId v = 0; v < n; ++v) engine.rank_[v] = teleport;
-  engine.initial_result_ = engine.RunSweeps({}, /*start_full=*/true);
+  engine.initial_result_ = engine.RunSweeps();
   return engine;
 }
 
@@ -87,7 +89,7 @@ Result<IncrementalPageRank::BatchResult> IncrementalPageRank::ApplyBatch(
       continue;
     }
     const int64_t live =
-        static_cast<int64_t>(Multiplicity(out_adj_[d.src], d.dst)) + adj;
+        static_cast<int64_t>(Multiplicity(in_adj_[d.dst], d.src)) + adj;
     if (live <= 0) {
       return Status::NotFound("delta " + std::to_string(i) + " removes arc (" +
                               std::to_string(d.src) + ", " +
@@ -99,30 +101,18 @@ Result<IncrementalPageRank::BatchResult> IncrementalPageRank::ApplyBatch(
   // Phase 2: mutate adjacency, degrees, and edge count.
   for (const GraphDelta& d : deltas) {
     if (d.kind == GraphDelta::Kind::kInsert) {
-      SortedInsert(out_adj_[d.src], d.dst);
       SortedInsert(in_adj_[d.dst], d.src);
+      ++out_degree_[d.src];
       ++num_edges_;
     } else {
-      SortedEraseOne(out_adj_[d.src], d.dst);
       SortedEraseOne(in_adj_[d.dst], d.src);
+      --out_degree_[d.src];
       --num_edges_;
     }
-    const size_t deg = out_adj_[d.src].size();
-    inv_outdeg_[d.src] = deg > 0 ? 1.0 / static_cast<double>(deg) : 0.0;
+    UpdateInvOutDegree(d.src);
   }
 
-  // Phase 3: seed the frontier with the vertices whose pull inputs changed —
-  // each delta's destination (its in-sum gained or lost an arc) and every
-  // current out-neighbor of its source (the source's per-arc weight
-  // rank/outdeg changed). Source dangling transitions are global and handled
-  // by the drift term inside the sweeps.
-  std::vector<VertexId> seeds;
-  for (const GraphDelta& d : deltas) {
-    seeds.push_back(d.dst);
-    for (VertexId w : out_adj_[d.src]) seeds.push_back(w);
-  }
-
-  BatchResult result = RunSweeps(std::move(seeds), /*start_full=*/false);
+  BatchResult result = RunSweeps();
   IncrementalWork work;
   work.vertices_reactivated = result.vertices_reactivated;
   work.edges_rerelaxed = result.edges_rerelaxed;
@@ -130,112 +120,68 @@ Result<IncrementalPageRank::BatchResult> IncrementalPageRank::ApplyBatch(
   return result;
 }
 
-IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps(
-    std::vector<VertexId> seeds, bool start_full) {
+IncrementalPageRank::BatchResult IncrementalPageRank::RunSweeps() {
   const VertexId n = n_;
   const double d = options_.damping;
   const double teleport = 1.0 / n;
-  // Same conservative skip threshold as kDelta: n sub-threshold per-vertex
-  // changes sum to under tolerance.
-  const double thr =
-      options_.tolerance > 0 ? options_.tolerance / static_cast<double>(n) : 0.0;
+  const unsigned threads = num_edges_ < kSerialSweepArcs
+                               ? 1
+                               : ResolveNumThreads(options_.num_threads);
 
-  const unsigned threads = ResolveNumThreads(options_.num_threads);
-
-  Frontier active(n), changed(n), next_active(n);
-  if (start_full) {
-    active.SetAll();
-  } else {
-    active.ClearDense();
-    for (VertexId v : seeds) active.Set(v);
-    active.RecountDense();
-  }
-
-  std::vector<double> next(n, 0.0), wrank(n, 0.0);
   // Every reduce, serial included, runs the same fixed grain-1024 chunk
-  // tree, so every thread count produces bitwise-identical sums.
-  auto plus = [](double a, double b) { return a + b; };
-  auto dangling_map = [&](uint64_t b, uint64_t e) {
-    double sum = 0.0;
-    for (uint64_t v = b; v < e; ++v) {
-      if (inv_outdeg_[v] == 0.0) sum += rank_[v];
-    }
-    return sum;
+  // tree, so every thread count produces bitwise-identical sums. Each sweep
+  // is one reduce: besides its L1 change it produces the next sweep's
+  // per-arc weights rank/outdeg and dangling mass, summed over the same
+  // chunks a separate pass would use.
+  struct Sums {
+    double l1 = 0.0;
+    double dangling = 0.0;
   };
+  auto add = [](Sums a, Sums b) {
+    return Sums{a.l1 + b.l1, a.dangling + b.dangling};
+  };
+  std::vector<double> next(n), wrank(n), next_wrank(n);
+  // The warm start's weights: the batch may have changed out-degrees.
+  double dangling = ParallelReduce(
+      threads, 0, n, Sums{},
+      [&](uint64_t b, uint64_t e) {
+        Sums p;
+        for (uint64_t v = b; v < e; ++v) {
+          wrank[v] = rank_[v] * inv_outdeg_[v];
+          if (inv_outdeg_[v] == 0.0) p.dangling += rank_[v];
+        }
+        return p;
+      },
+      add).dangling;
 
   BatchResult result;
   for (uint32_t sweep_no = 0; sweep_no < options_.max_sweeps; ++sweep_no) {
-    const double dangling = ParallelReduce(threads, 0, n, 0.0, dangling_map, plus);
-    ParallelFor(threads, 0, n,
-                [&](uint64_t v) { wrank[v] = rank_[v] * inv_outdeg_[v]; });
-    result.vertices_reactivated += active.size();
-    changed.ClearDense();
-    // One sweep chunk: gather active vertices, drift-update quiescent ones.
-    // Returns (L1 delta, in-edges gathered). Mirrors the kDelta sweep in
-    // algorithms/pagerank.cc, including the rule that only an exactly
-    // re-gathered vertex may flag itself as still moving.
-    using Partial = std::pair<double, uint64_t>;
+    // One full pull sweep: algo::PageRank's kPull update of every vertex.
     auto sweep = [&](uint64_t b, uint64_t e) {
-      Partial p{0.0, 0};
-      for (uint64_t i = b; i < e; ++i) {
-        VertexId v = static_cast<VertexId>(i);
-        double nv;
-        if (active.Test(v)) {
-          const auto& in = in_adj_[v];
-          double in_sum = 0.0;
-          for (VertexId u : in) in_sum += wrank[u];
-          p.second += in.size();
-          nv = (1.0 - d) * teleport + d * (in_sum + dangling * teleport);
-          if (std::abs(nv - rank_[v]) > thr) {
-            if (threads > 1) {
-              changed.AtomicTestAndSet(v);
-            } else {
-              changed.Set(v);
-            }
-          }
-        } else {
-          nv = rank_[v] + d * teleport * (dangling - prev_dangling_);
-        }
+      Sums p;
+      for (uint64_t v = b; v < e; ++v) {
+        double in_sum = 0.0;
+        for (VertexId u : in_adj_[v]) in_sum += wrank[u];
+        const double nv =
+            (1.0 - d) * teleport + d * (in_sum + dangling * teleport);
         next[v] = nv;
-        p.first += std::abs(nv - rank_[v]);
+        next_wrank[v] = nv * inv_outdeg_[v];
+        if (inv_outdeg_[v] == 0.0) p.dangling += nv;
+        p.l1 += std::abs(nv - rank_[v]);
       }
       return p;
     };
-    auto combine = [](Partial a, Partial b) {
-      return Partial{a.first + b.first, a.second + b.second};
-    };
-    Partial total = ParallelReduce(threads, 0, n, Partial{0.0, 0}, sweep, combine);
-    result.edges_rerelaxed += total.second;
-    prev_dangling_ = dangling;
-    const bool was_full = active.size() == n;
+    const Sums sums = ParallelReduce(threads, 0, n, Sums{}, sweep, add);
     rank_.swap(next);
+    wrank.swap(next_wrank);
+    dangling = sums.dangling;
     result.sweeps = sweep_no + 1;
-    result.final_delta = total.first;
-    if (total.first < options_.tolerance) {
-      if (was_full) {
-        // Certified: every vertex was re-gathered exactly this sweep, so the
-        // residual is the true one (a partial sweep's L1 includes drift-only
-        // approximations and could under-report).
-        result.converged = true;
-        break;
-      }
-      active.SetAll();
-      continue;
-    }
-    changed.RecountDense();
-    if (changed.size() > n / 8 || changed.empty()) {
-      active.SetAll();
-    } else {
-      changed.ToSparse();
-      next_active.ClearDense();
-      uint64_t marked = 0;
-      for (VertexId v : changed.Vertices()) {
-        for (VertexId w : out_adj_[v]) {
-          marked += next_active.AtomicTestAndSet(w) ? 1 : 0;
-        }
-      }
-      next_active.SetCount(marked);
-      std::swap(active, next_active);
+    result.final_delta = sums.l1;
+    result.vertices_reactivated += n;
+    result.edges_rerelaxed += num_edges_;
+    if (sums.l1 < options_.tolerance) {
+      result.converged = true;
+      break;
     }
   }
   return result;

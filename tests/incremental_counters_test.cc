@@ -1,7 +1,8 @@
-// Pins the cost-asymmetry counters of the incremental engines — the
-// literature's insert-cheap / delete-expensive asymmetry must be visible in
-// rebuild counters and in the stream.incremental.* observability counters,
-// with exact values on hand-computable graphs.
+// Pins the cost counters of the incremental engines — the components
+// engine's insert-cheap / delete-expensive asymmetry must be visible in its
+// rebuild counters, the k-core engine's one peel per batch in its own, and
+// both in the stream.incremental.* observability counters, with exact values
+// on hand-computable graphs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -59,10 +60,11 @@ TEST_F(IncrementalCountersTest, InsertOnlyStreamsNeverRebuild) {
     ASSERT_TRUE(kc.ApplyBatch(batch).ok());
   }
   EXPECT_EQ(cc.rebuilds(), 0u);
-  EXPECT_EQ(kc.full_rebuilds(), 0u);
-  EXPECT_EQ(kc.deletion_repairs(), 0u);
   EXPECT_EQ(CounterValue("stream.incremental.components.rebuilds"), 0);
-  EXPECT_EQ(CounterValue("stream.incremental.kcore.rebuilds"), 0);
+  // The k-core engine peels once per batch whatever the batch holds; the
+  // first batch's peel also absorbs the edge-at-a-time load.
+  EXPECT_EQ(kc.full_rebuilds(), 6u);
+  EXPECT_EQ(CounterValue("stream.incremental.kcore.rebuilds"), 6);
 }
 
 TEST_F(IncrementalCountersTest, ComponentsRebuildOnlyWhenLastConnectionDies) {
@@ -120,25 +122,29 @@ TEST_F(IncrementalCountersTest, ComponentsObsCountersMatchHandComputation) {
 }
 
 TEST_F(IncrementalCountersTest, KCoreDeletionRepairVsLegacyRebuild) {
-  // Default engine: deletions are local repairs, full_rebuilds stays 0.
-  IncrementalKCore repair(3);
-  ASSERT_TRUE(repair.InsertEdge(0, 1).ok());
-  ASSERT_TRUE(repair.InsertEdge(1, 2).ok());
-  ASSERT_TRUE(repair.InsertEdge(0, 2).ok());
-  ASSERT_TRUE(repair.RemoveEdge(0, 1).ok());
-  EXPECT_EQ(repair.deletion_repairs(), 1u);
-  EXPECT_EQ(repair.full_rebuilds(), 0u);
-  EXPECT_EQ(repair.core_numbers(), (std::vector<uint32_t>{1, 1, 1}));
+  // Single-edge calls: no peel until the cores are read, then exactly one.
+  IncrementalKCore lazy(3);
+  ASSERT_TRUE(lazy.InsertEdge(0, 1).ok());
+  ASSERT_TRUE(lazy.InsertEdge(1, 2).ok());
+  ASSERT_TRUE(lazy.InsertEdge(0, 2).ok());
+  ASSERT_TRUE(lazy.RemoveEdge(0, 1).ok());
+  EXPECT_EQ(lazy.full_rebuilds(), 0u);
+  EXPECT_EQ(lazy.core_numbers(), (std::vector<uint32_t>{1, 1, 1}));
+  EXPECT_EQ(lazy.full_rebuilds(), 1u);
 
-  // Legacy engine: every deletion is a counted full recomputation.
-  IncrementalKCore legacy(3, {.repair_deletions = false});
-  ASSERT_TRUE(legacy.InsertEdge(0, 1).ok());
-  ASSERT_TRUE(legacy.InsertEdge(1, 2).ok());
-  ASSERT_TRUE(legacy.InsertEdge(0, 2).ok());
-  ASSERT_TRUE(legacy.RemoveEdge(0, 1).ok());
-  EXPECT_EQ(legacy.deletion_repairs(), 0u);
-  EXPECT_EQ(legacy.full_rebuilds(), 1u);
-  EXPECT_EQ(legacy.core_numbers(), repair.core_numbers());
+  // The same deletion as a batch: the batch peels before it returns, and
+  // reading afterwards peels nothing more.
+  IncrementalKCore batched(3);
+  ASSERT_TRUE(batched.InsertEdge(0, 1).ok());
+  ASSERT_TRUE(batched.InsertEdge(1, 2).ok());
+  ASSERT_TRUE(batched.InsertEdge(0, 2).ok());
+  const auto res =
+      batched.ApplyBatch(std::vector<GraphDelta>{GraphDelta::Remove(0, 1)})
+          .ValueOrDie();
+  EXPECT_EQ(res.full_rebuilds, 1u);
+  EXPECT_EQ(batched.full_rebuilds(), 1u);
+  EXPECT_EQ(batched.core_numbers(), lazy.core_numbers());
+  EXPECT_EQ(batched.full_rebuilds(), 1u);
 }
 
 TEST_F(IncrementalCountersTest, KCoreObsCountersMatchHandComputation) {
@@ -148,27 +154,29 @@ TEST_F(IncrementalCountersTest, KCoreObsCountersMatchHandComputation) {
   ASSERT_TRUE(kc.InsertEdge(1, 2).ok());
   ASSERT_TRUE(kc.InsertEdge(0, 2).ok());
 
-  // Insert (0,3): r = min(2, 0) = 0, subcore of 3 is {3} with one qualifying
-  // neighbor -> 1 candidate, 1 adjacency entry scanned, promoted to core 1.
+  // Insert (0,3): one peel orders all 4 vertices and scans every row entry,
+  // 2 per edge of the 4 now present; 3 is promoted to core 1.
   auto res = kc.ApplyBatch(std::vector<GraphDelta>{GraphDelta::Insert(0, 3)})
                  .ValueOrDie();
-  EXPECT_EQ(res.vertices_reactivated, 1u);
-  EXPECT_EQ(res.edges_rerelaxed, 1u);
+  EXPECT_EQ(res.vertices_reactivated, 4u);
+  EXPECT_EQ(res.edges_rerelaxed, 8u);
+  EXPECT_EQ(res.full_rebuilds, 1u);
   EXPECT_EQ(kc.CoreNumber(3), 1u);
-  EXPECT_EQ(CounterValue("stream.incremental.kcore.vertices_reactivated"), 1);
-  EXPECT_EQ(CounterValue("stream.incremental.kcore.edges_rerelaxed"), 1);
+  EXPECT_EQ(CounterValue("stream.incremental.kcore.vertices_reactivated"), 4);
+  EXPECT_EQ(CounterValue("stream.incremental.kcore.edges_rerelaxed"), 8);
 
-  // Remove (0,1): r = 2, subcore {0, 1, 2}; all three lose their second
-  // level-2 neighbor and drop to core 1.
+  // Remove (0,1): the triangle breaks, so 0, 1 and 2 drop to core 1. The
+  // peel scans the 3 surviving edges' 6 row entries.
   res = kc.ApplyBatch(std::vector<GraphDelta>{GraphDelta::Remove(0, 1)})
             .ValueOrDie();
-  EXPECT_EQ(res.vertices_reactivated, 3u);
-  EXPECT_EQ(res.deletion_repairs, 1u);
-  EXPECT_EQ(res.full_rebuilds, 0u);
+  EXPECT_EQ(res.vertices_reactivated, 4u);
+  EXPECT_EQ(res.edges_rerelaxed, 6u);
+  EXPECT_EQ(res.full_rebuilds, 1u);
   EXPECT_EQ(kc.core_numbers(), (std::vector<uint32_t>{1, 1, 1, 1}));
   EXPECT_EQ(CounterValue("stream.incremental.kcore.batches"), 2);
-  EXPECT_EQ(CounterValue("stream.incremental.kcore.vertices_reactivated"), 1 + 3);
-  EXPECT_EQ(CounterValue("stream.incremental.kcore.rebuilds"), 0);
+  EXPECT_EQ(CounterValue("stream.incremental.kcore.vertices_reactivated"), 4 + 4);
+  EXPECT_EQ(CounterValue("stream.incremental.kcore.edges_rerelaxed"), 8 + 6);
+  EXPECT_EQ(CounterValue("stream.incremental.kcore.rebuilds"), 2);
 }
 
 TEST_F(IncrementalCountersTest, PageRankObsCountersMatchBatchReport) {
