@@ -41,8 +41,8 @@ inline const CsrGraph& RmatGraph(uint32_t scale, bool in_edges = false) {
 }
 
 /// Cached weighted RMAT graph (same shape as RmatGraph, uniform weights in
-/// [0.1, 1.1)) for the SSSP benches: the spread exercises delta-stepping's
-/// light/heavy split without degenerating into unit-weight BFS.
+/// [0.1, 1.1)) for the SSSP benches: the spread puts distances in many
+/// delta-stepping buckets without degenerating into unit-weight BFS.
 inline const CsrGraph& WeightedRmatGraph(uint32_t scale) {
   static std::map<uint32_t, CsrGraph> cache;
   auto it = cache.find(scale);
@@ -73,24 +73,41 @@ inline const CsrGraph& SmallWorldGraph(VertexId n) {
   return it->second;
 }
 
-/// Cached road-like corpus graph: a 2^(scale/2) x 2^(scale-scale/2) lattice
+/// Road-like corpus graph: a 2^(scale/2) x 2^(scale-scale/2) lattice
 /// (2^scale vertices) with omitted segments and sparse diagonals — the
 /// bounded-degree/huge-diameter shape the RMAT-only suite never exercised
-/// ("SoK: The Faults in our Graph Benchmarks"). Undirected.
+/// ("SoK: The Faults in our Graph Benchmarks"). Undirected. With `weighted`,
+/// every edge then draws 0.1 + U[0,1) from the same generator, as the
+/// traverse_road benchmark does (scale 18 is its 512 x 512 lattice).
+inline CsrGraph BuildRoadGraph(uint32_t scale, bool weighted) {
+  Rng rng(scale * 1000003ULL + 41);
+  VertexId rows = static_cast<VertexId>(1u) << (scale / 2);
+  VertexId cols = static_cast<VertexId>(1u) << (scale - scale / 2);
+  EdgeList el = gen::RoadLike(rows, cols, {}, &rng).ValueOrDie();
+  if (weighted) {
+    for (Edge& e : el.mutable_edges()) e.weight = 0.1 + rng.NextDouble();
+  }
+  CsrOptions opts;
+  opts.directed = false;
+  return CsrGraph::FromEdges(std::move(el), opts).ValueOrDie();
+}
+
+/// Cached unweighted road lattice (BuildRoadGraph).
 inline const CsrGraph& RoadGraph(uint32_t scale) {
   static std::map<uint32_t, CsrGraph> cache;
   auto it = cache.find(scale);
   if (it == cache.end()) {
-    Rng rng(scale * 1000003ULL + 41);
-    VertexId rows = static_cast<VertexId>(1u) << (scale / 2);
-    VertexId cols = static_cast<VertexId>(1u) << (scale - scale / 2);
-    CsrOptions opts;
-    opts.directed = false;
-    it = cache.emplace(scale,
-                       CsrGraph::FromEdges(
-                           gen::RoadLike(rows, cols, {}, &rng).ValueOrDie(), opts)
-                           .ValueOrDie())
-             .first;
+    it = cache.emplace(scale, BuildRoadGraph(scale, /*weighted=*/false)).first;
+  }
+  return it->second;
+}
+
+/// Cached weighted road lattice (BuildRoadGraph) for the SSSP benches.
+inline const CsrGraph& WeightedRoadGraph(uint32_t scale) {
+  static std::map<uint32_t, CsrGraph> cache;
+  auto it = cache.find(scale);
+  if (it == cache.end()) {
+    it = cache.emplace(scale, BuildRoadGraph(scale, /*weighted=*/true)).first;
   }
   return it->second;
 }

@@ -5,12 +5,14 @@
 // actually performed per batch (edges re-relaxed / arcs scanned) through the
 // `work_items` BENCH.json field, so the cost asymmetry is visible next to
 // the wall-clock numbers. Two regimes: 16-delta batches in a 64-vertex
-// window from a fresh graph (`*Batch*` rows), and the end-to-end
+// window from a fresh graph, replayed as one fixed cycle (`*Batch*` rows),
+// and the end-to-end
 // benchmark's update_stream regime, 64-delta batches in a V/16 window after
 // 1,500 warm-up batches have saturated it (`*Saturated*` rows).
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,9 +44,42 @@ constexpr size_t kBatchSize = 16;
 constexpr VertexId kWindow = 64;
 constexpr double kTolerance = 1e-9;
 
+// The `*Batch*` rows replay one cycle of this many batches from the start of
+// their stream, rebuilding the engine (untimed) at each cycle's start. A
+// batch's cost changes as the window fills, so a fixed cycle keeps every
+// run and repetition timing the same stretch of the stream, whatever
+// iteration count google-benchmark picks.
+constexpr size_t kCycleBatches = 16;
+
 EdgeList StreamBase(uint32_t scale) {
   Rng rng(scale * 1000003ULL + 41);
   return gen::Rmat(scale, static_cast<uint64_t>(8) << scale, &rng).ValueOrDie();
+}
+
+/// The first kCycleBatches batches of the fresh-graph stream for (scale,
+/// seed), with the edge set they start from and the live edge set after
+/// each (the recompute rows' input). Built once per process, so every run
+/// of the incremental row and its recompute twin sees the same batches.
+struct BatchCycle {
+  EdgeList initial;
+  std::vector<std::vector<GraphDelta>> batches;
+  std::vector<EdgeList> live;
+};
+
+const BatchCycle& Cycle(uint32_t scale, uint64_t seed) {
+  static std::map<std::pair<uint32_t, uint64_t>, BatchCycle> cache;
+  auto it = cache.find({scale, seed});
+  if (it == cache.end()) {
+    UpdateStreamGen gen(StreamBase(scale), seed, {.window = kWindow});
+    BatchCycle cycle;
+    cycle.initial = gen.InitialEdges();
+    for (size_t b = 0; b < kCycleBatches; ++b) {
+      cycle.batches.push_back(gen.NextBatch(StreamKind::kMixed, kBatchSize));
+      cycle.live.push_back(gen.LiveEdges());
+    }
+    it = cache.emplace(std::make_pair(scale, seed), std::move(cycle)).first;
+  }
+  return it->second;
 }
 
 void FinishBatchBench(benchmark::State& state, const char* mode,
@@ -60,18 +95,23 @@ void FinishBatchBench(benchmark::State& state, const char* mode,
 
 void BM_IncrementalPageRankBatch(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  UpdateStreamGen gen(StreamBase(scale), 77, {.window = kWindow});
+  const BatchCycle& cycle = Cycle(scale, 77);
   stream::IncrementalPageRankOptions opts;
   opts.tolerance = kTolerance;
   opts.num_threads = static_cast<uint32_t>(state.range(1));
-  auto engine =
-      stream::IncrementalPageRank::Create(gen.InitialEdges(), opts).ValueOrDie();
+  std::optional<stream::IncrementalPageRank> engine;
   uint64_t work = 0;
+  size_t next = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    const auto batch = gen.NextBatch(StreamKind::kMixed, kBatchSize);
-    state.ResumeTiming();
-    work += engine.ApplyBatch(batch).ValueOrDie().edges_rerelaxed;
+    if (next % kCycleBatches == 0) {
+      state.PauseTiming();
+      engine.emplace(
+          stream::IncrementalPageRank::Create(cycle.initial, opts).ValueOrDie());
+      state.ResumeTiming();
+    }
+    work += engine->ApplyBatch(cycle.batches[next++ % kCycleBatches])
+                .ValueOrDie()
+                .edges_rerelaxed;
   }
   FinishBatchBench(state, "pagerank_batch", scale, work);
 }
@@ -79,17 +119,17 @@ BENCHMARK(BM_IncrementalPageRankBatch)->Args({10, 1})->Args({12, 1});
 
 void BM_PageRankBatchRecompute(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  UpdateStreamGen gen(StreamBase(scale), 77, {.window = kWindow});
+  const BatchCycle& cycle = Cycle(scale, 77);
   algo::PageRankOptions opts;
   opts.tolerance = kTolerance;
   opts.max_iterations = 200;
   opts.mode = algo::PageRankMode::kPull;
   opts.num_threads = static_cast<uint32_t>(state.range(1));
   uint64_t work = 0;
+  size_t next = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    gen.NextBatch(StreamKind::kMixed, kBatchSize);
-    EdgeList live = gen.LiveEdges();
+    EdgeList live = cycle.live[next++ % kCycleBatches];
     state.ResumeTiming();
     CsrOptions copts;
     copts.build_in_edges = true;
@@ -104,19 +144,25 @@ BENCHMARK(BM_PageRankBatchRecompute)->Args({10, 1})->Args({12, 1});
 
 void BM_IncrementalComponentsBatch(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  UpdateStreamGen gen(StreamBase(scale), 78, {.window = kWindow});
-  auto engine =
-      stream::IncrementalComponents::Create(gen.InitialEdges()).ValueOrDie();
+  const BatchCycle& cycle = Cycle(scale, 78);
+  std::optional<stream::IncrementalComponents> engine;
   // The engine reports arcs scanned through the obs registry, not the
   // BatchResult (merges/rebuilds only), so read the counter delta.
   auto& registry = obs::MetricsRegistry::Global();
   registry.Reset();
   registry.set_enabled(true);
+  size_t next = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    const auto batch = gen.NextBatch(StreamKind::kMixed, kBatchSize);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine.ApplyBatch(batch).ValueOrDie());
+    if (next % kCycleBatches == 0) {
+      state.PauseTiming();
+      registry.set_enabled(false);  // keep the rebuild out of work_items
+      engine.emplace(
+          stream::IncrementalComponents::Create(cycle.initial).ValueOrDie());
+      registry.set_enabled(true);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(
+        engine->ApplyBatch(cycle.batches[next++ % kCycleBatches]).ValueOrDie());
   }
   const uint64_t work = static_cast<uint64_t>(
       registry.GetCounter("stream.incremental.components.edges_rerelaxed")
@@ -128,12 +174,12 @@ BENCHMARK(BM_IncrementalComponentsBatch)->Args({10, 1})->Args({12, 1});
 
 void BM_ComponentsBatchRecompute(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  UpdateStreamGen gen(StreamBase(scale), 78, {.window = kWindow});
+  const BatchCycle& cycle = Cycle(scale, 78);
   uint64_t work = 0;
+  size_t next = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    gen.NextBatch(StreamKind::kMixed, kBatchSize);
-    EdgeList live = gen.LiveEdges();
+    EdgeList live = cycle.live[next++ % kCycleBatches];
     state.ResumeTiming();
     auto g = CsrGraph::FromEdges(std::move(live)).ValueOrDie();
     benchmark::DoNotOptimize(algo::WeaklyConnectedComponents(g));
@@ -145,16 +191,22 @@ BENCHMARK(BM_ComponentsBatchRecompute)->Args({10, 1})->Args({12, 1});
 
 void BM_IncrementalKCoreBatch(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  UpdateStreamGen gen(StreamBase(scale), 79, {.window = kWindow});
-  const EdgeList init = gen.InitialEdges();
-  stream::IncrementalKCore engine(init.num_vertices());
-  for (const Edge& e : init.edges()) engine.InsertEdge(e.src, e.dst).Abort();
+  const BatchCycle& cycle = Cycle(scale, 79);
+  std::optional<stream::IncrementalKCore> engine;
   uint64_t work = 0;
+  size_t next = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    const auto batch = gen.NextBatch(StreamKind::kMixed, kBatchSize);
-    state.ResumeTiming();
-    work += engine.ApplyBatch(batch).ValueOrDie().edges_rerelaxed;
+    if (next % kCycleBatches == 0) {
+      state.PauseTiming();
+      engine.emplace(cycle.initial.num_vertices());
+      for (const Edge& e : cycle.initial.edges()) {
+        engine->InsertEdge(e.src, e.dst).Abort();
+      }
+      state.ResumeTiming();
+    }
+    work += engine->ApplyBatch(cycle.batches[next++ % kCycleBatches])
+                .ValueOrDie()
+                .edges_rerelaxed;
   }
   FinishBatchBench(state, "kcore_batch", scale, work);
 }
@@ -162,12 +214,12 @@ BENCHMARK(BM_IncrementalKCoreBatch)->Args({10, 1})->Args({12, 1});
 
 void BM_KCoreBatchRecompute(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
-  UpdateStreamGen gen(StreamBase(scale), 79, {.window = kWindow});
+  const BatchCycle& cycle = Cycle(scale, 79);
   uint64_t work = 0;
+  size_t next = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    gen.NextBatch(StreamKind::kMixed, kBatchSize);
-    EdgeList live = gen.LiveEdges();
+    EdgeList live = cycle.live[next++ % kCycleBatches];
     state.ResumeTiming();
     CsrOptions copts;
     copts.directed = false;

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <cfloat>
 #include <deque>
 #include <queue>
-#include <span>
+#include <utility>
 
 #include "algorithms/traversal.h"
 #include "common/buckets.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "graph/graph_traits.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -33,9 +32,11 @@ std::vector<VertexId> ShortestPathTree::PathTo(VertexId target) const {
 
 namespace {
 
+/// NaN fails like a negative weight, as in DeltaSteppingSssp, so the two
+/// kernels accept the same graphs.
 Status CheckNonNegativeWeights(const CsrGraph& g) {
   for (double w : g.weights()) {
-    if (w < 0) return Status::Invalid("Dijkstra requires non-negative weights");
+    if (!(w >= 0)) return Status::Invalid("Dijkstra requires non-negative weights");
   }
   return Status::OK();
 }
@@ -140,215 +141,266 @@ Result<ShortestPathTree> BellmanFord(const CsrGraph& g, VertexId source) {
 
 namespace {
 
-/// Frontier entries per relax chunk. Chunk boundaries depend only on this
-/// grain, so insertion-buffer merge order — and with it every bucket's
-/// contents — is identical at any thread count.
+/// Upper bound on the ring's span in buckets: delta is raised to at least
+/// (largest finite weight) / kRingCap, so one arc spans at most kRingCap
+/// buckets and bucket indices stay below kRingCap * V, far from 2^53.
+constexpr double kRingCap = 4096;
+
+/// Frontier entries per relax chunk of a forked round.
 constexpr uint64_t kSsspGrain = 256;
 
-struct SsspTally {
-  uint64_t relaxations = 0;   // tight-edge relax attempts
-  uint64_t improvements = 0;  // successful distance writes
+/// A whole-graph pass (the weight sweep, the parent pass) over fewer arcs
+/// than this runs on the caller; it is also the weight sweep's chunk size.
+constexpr uint64_t kSerialPassArcs = uint64_t{1} << 16;
+
+/// One forked round's output for one chunk: the (bucket, vertex) entries it
+/// pushed, merged in chunk order, and its tallies. Cache-line aligned so
+/// neighbouring chunks' pushes do not share a line.
+struct alignas(64) ChunkOut {
+  std::vector<BucketItem> items;
+  uint64_t relaxations = 0;
+  uint64_t improvements = 0;
+  uint64_t stale = 0;
 };
 
-/// Delta-stepping over the shared BucketStructure. The distance array is the
-/// only cross-thread state during a relax phase: writes go through a
-/// CAS-min on std::atomic_ref<double> and reads are relaxed atomic loads
-/// ("relaxed-write"); a popped entry whose vertex has left the bucket is
-/// discarded by the serial recheck between phases. The serial path (one
-/// thread) runs the identical chunk decomposition with plain loads/stores.
-template <WeightedNeighborRangeGraph G>
-Result<ShortestPathTree> DeltaSteppingEngine(const G& g, VertexId source,
+/// Delta-stepping over a bounded BucketStructure ring. Each popped vertex
+/// whose distance still lies in the popped bucket relaxes all of its arcs in
+/// one pass and pushes every improved vertex into the bucket of its new
+/// distance, which is never below the popped one; an entry whose vertex has
+/// since moved to a lower bucket is stale and skipped. The algorithm is
+/// label-correcting, so any delta reaches the same distances. A round whose
+/// frontier has fewer than kSerialRoundArcs arcs runs on the caller with
+/// plain loads and stores; a larger one forks, writing distances through a
+/// relaxed CAS-min on std::atomic_ref<double> into per-chunk buffers that
+/// are reused across rounds.
+Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
                                              const SsspOptions& options) {
   const VertexId n = g.num_vertices();
   if (source >= n) return Status::OutOfRange("source out of range");
 
-  // One serial edge sweep both validates weights and feeds the delta
-  // auto-tune (average edge weight ~= one bucket per expected hop).
-  double weight_sum = 0.0;
-  for (VertexId u = 0; u < n; ++u) {
-    for (double w : g.OutWeights(u)) {
-      if (w < 0) {
-        return Status::Invalid("DeltaSteppingSssp requires non-negative weights");
-      }
-      weight_sum += w;
-    }
+  // One sweep validates the weights (NaN fails like a negative weight) and
+  // finds the smallest positive and the largest finite weight. +inf arcs
+  // are legal: they never improve a distance.
+  struct WeightScan {
+    bool valid = true;
+    bool has_zero = false;
+    double min_positive = kInfDistance;
+    double max_finite = 0.0;
+  };
+  const unsigned threads = ResolveNumThreads(options.num_threads);
+  const double* weights = g.weights().data();
+  const WeightScan scan = ParallelReduce(
+      threads, 0, g.num_edges(), WeightScan{},
+      [weights](uint64_t b, uint64_t e) {
+        WeightScan p;
+        for (uint64_t i = b; i < e; ++i) {
+          const double w = weights[i];
+          p.valid &= w >= 0;
+          p.has_zero |= w == 0;
+          if (w > 0 && w < p.min_positive) p.min_positive = w;
+          if (w > p.max_finite && w != kInfDistance) p.max_finite = w;
+        }
+        return p;
+      },
+      [](WeightScan a, WeightScan b) {
+        return WeightScan{a.valid && b.valid, a.has_zero || b.has_zero,
+                          std::min(a.min_positive, b.min_positive),
+                          std::max(a.max_finite, b.max_finite)};
+      },
+      kSerialPassArcs);
+  if (!scan.valid) {
+    return Status::Invalid("DeltaSteppingSssp requires non-negative weights");
   }
-  double delta = options.delta;
-  if (delta <= 0) {
-    delta = g.num_edges() > 0 ? weight_sum / static_cast<double>(g.num_edges())
-                              : 1.0;
-    if (delta <= 0) delta = 1.0;  // all-zero weights
-  }
+  const double max_finite = scan.max_finite;
+  // Width: the smallest positive weight makes every arc but zero-weight
+  // ones leave the popped bucket, so most vertices are relaxed once.
+  double delta = options.delta > 0                    ? options.delta
+                 : scan.min_positive != kInfDistance ? scan.min_positive
+                                                     : 1.0;
+  // Raised so an arc spans at most kRingCap buckets and 1 / delta is finite.
+  delta = std::max({delta, max_finite / kRingCap, DBL_MIN});
+  const double inv_delta = 1.0 / delta;
+  auto bucket_of = [inv_delta](double d) {
+    return static_cast<uint64_t>(d * inv_delta);
+  };
 
   obs::ScopedTrace span("DeltaSteppingSssp");
   Timer timer;
-
-  const unsigned threads = ResolveNumThreads(options.num_threads);
 
   ShortestPathTree t;
   t.distance.assign(n, kInfDistance);
   t.parent.assign(n, kInvalidVertex);
   t.distance[source] = 0.0;
   t.parent[source] = source;
-  std::vector<double>& dist = t.distance;
+  double* dist = t.distance.data();
+  const uint64_t* offsets = g.offsets().data();
+  const VertexId* targets = g.targets().data();
 
-  // Bucket of a *finite* distance, clamped so adversarial weights cannot
-  // overflow the index space.
-  auto bucket_of = [delta](double d) {
-    return static_cast<uint64_t>(std::min(d / delta, 9e18));
-  };
-
-  BucketStructure buckets;
+  // While bucket b is processed every live entry lies in [b, b + span):
+  // an arc reaches at most max_finite / delta buckets further, plus one for
+  // the popped distance's offset inside its bucket and one for rounding.
+  BucketStructure buckets(bucket_of(max_finite) + 3);
   buckets.Insert(0, source);
-  std::vector<uint8_t> settled_flag(n, 0);
-  std::vector<VertexId> popped, frontier, settled;
-  SsspTally tally;
-  uint64_t stale_pops = 0;
+  std::vector<VertexId> popped;
+  std::vector<ChunkOut> chunk_out;
+  uint64_t relaxations = 0, improvements = 0, stale = 0, forked_rounds = 0;
 
-  // Relaxes the light (w <= delta) or heavy (w > delta) edges of `front`.
-  // New (bucket, vertex) entries collect in per-chunk buffers merged in
-  // ascending chunk order.
-  auto relax = [&](std::span<const VertexId> front, bool light) {
-    if (front.empty()) return;
-    const uint64_t chunks = NumChunks(0, front.size(), kSsspGrain);
-    // A single chunk runs on the caller alone (the fork width is capped at
-    // the chunk count), so it needs no atomics.
-    const bool concurrent = threads > 1 && chunks > 1;
-    std::vector<std::vector<BucketItem>> buffers(chunks);
-    std::vector<SsspTally> tallies(chunks);
-    auto run_chunk = [&](uint64_t c) {
-      const uint64_t b = c * kSsspGrain;
-      const uint64_t e = std::min<uint64_t>(b + kSsspGrain, front.size());
-      auto& buf = buffers[c];
-      auto& tl = tallies[c];
-      for (uint64_t idx = b; idx < e; ++idx) {
-        const VertexId u = front[idx];
-        const double du =
-            concurrent ? std::atomic_ref<double>(dist[u]).load(
-                             std::memory_order_relaxed)
-                       : dist[u];
-        auto nbrs = g.OutNeighbors(u);
-        auto ws = g.OutWeights(u);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const double w = ws[i];
-          if (light ? w > delta : w <= delta) continue;
-          const VertexId v = nbrs[i];
-          const double nd = du + w;
-          ++tl.relaxations;
-          if (concurrent) {
-            std::atomic_ref<double> dv(dist[v]);
-            double cur = dv.load(std::memory_order_relaxed);
-            while (nd < cur) {
-              if (dv.compare_exchange_weak(cur, nd, std::memory_order_relaxed)) {
-                ++tl.improvements;
-                buf.emplace_back(bucket_of(nd), v);
-                break;
-              }
-            }
-          } else if (nd < dist[v]) {
+  uint64_t bkt = 0;
+  // Whether a vertex lowered from `old` into bucket nb needs a new entry. An
+  // entry already waits in nb when `old` lay there too, unless nb is the
+  // bucket being processed, whose entries may have been relaxed already.
+  auto needs_entry = [&](double old, uint64_t nb) {
+    return nb == bkt || old == kInfDistance || bucket_of(old) != nb;
+  };
+  while ((bkt = buckets.PopNextBucket(&popped)) != BucketStructure::kNoBucket) {
+    uint64_t arcs = 0;
+    if (threads > 1) {
+      for (VertexId u : popped) {
+        arcs += offsets[u + 1] - offsets[u];
+        if (arcs >= kSerialRoundArcs) break;
+      }
+    }
+    if (arcs < kSerialRoundArcs) {
+      for (VertexId u : popped) {
+        const double du = dist[u];
+        if (bucket_of(du) != bkt) {  // improved past this bucket: stale
+          ++stale;
+          continue;
+        }
+        const uint64_t end = offsets[u + 1];
+        relaxations += end - offsets[u];
+        for (uint64_t e = offsets[u]; e < end; ++e) {
+          const VertexId v = targets[e];
+          const double nd = du + weights[e];
+          const double old = dist[v];
+          if (nd < old) {
             dist[v] = nd;
-            ++tl.improvements;
-            buf.emplace_back(bucket_of(nd), v);
+            ++improvements;
+            const uint64_t nb = bucket_of(nd);
+            if (needs_entry(old, nb)) buckets.Insert(nb, v);
+          }
+        }
+      }
+      continue;
+    }
+
+    ++forked_rounds;
+    const uint64_t chunks = NumChunks(0, popped.size(), kSsspGrain);
+    if (chunk_out.size() < chunks) chunk_out.resize(chunks);
+    auto run_chunk = [&](uint64_t c) {
+      ChunkOut& out = chunk_out[c];
+      const uint64_t b = c * kSsspGrain;
+      const uint64_t e = std::min<uint64_t>(b + kSsspGrain, popped.size());
+      for (uint64_t idx = b; idx < e; ++idx) {
+        const VertexId u = popped[idx];
+        const double du =
+            std::atomic_ref<double>(dist[u]).load(std::memory_order_relaxed);
+        if (bucket_of(du) != bkt) {
+          ++out.stale;
+          continue;
+        }
+        const uint64_t end = offsets[u + 1];
+        out.relaxations += end - offsets[u];
+        for (uint64_t a = offsets[u]; a < end; ++a) {
+          const VertexId v = targets[a];
+          const double nd = du + weights[a];
+          std::atomic_ref<double> dv(dist[v]);
+          double old = dv.load(std::memory_order_relaxed);
+          while (nd < old) {
+            if (dv.compare_exchange_weak(old, nd, std::memory_order_relaxed)) {
+              ++out.improvements;
+              const uint64_t nb = bucket_of(nd);
+              if (needs_entry(old, nb)) out.items.emplace_back(nb, v);
+              break;
+            }
           }
         }
       }
     };
     ParallelFor(threads, 0, chunks, run_chunk, Schedule::kDynamic, 1);
     for (uint64_t c = 0; c < chunks; ++c) {
-      buckets.InsertBatch(buffers[c]);
-      tally.relaxations += tallies[c].relaxations;
-      tally.improvements += tallies[c].improvements;
+      ChunkOut& out = chunk_out[c];
+      buckets.InsertBatch(out.items);
+      out.items.clear();
+      relaxations += std::exchange(out.relaxations, 0);
+      improvements += std::exchange(out.improvements, 0);
+      stale += std::exchange(out.stale, 0);
     }
-  };
-
-  uint64_t bkt;
-  while ((bkt = buckets.PopNextBucket(&popped)) != BucketStructure::kNoBucket) {
-    settled.clear();
-    for (;;) {  // light sub-rounds until bucket `bkt` stops refilling
-      frontier.clear();
-      for (VertexId v : popped) {
-        if (bucket_of(dist[v]) != bkt) {  // improved past this bucket: stale
-          ++stale_pops;
-          continue;
-        }
-        frontier.push_back(v);
-        if (!settled_flag[v]) {  // first settle; heavy edges relax once below
-          settled_flag[v] = 1;
-          settled.push_back(v);
-        }
-      }
-      relax(frontier, /*light=*/true);
-      if (!buckets.PopSame(bkt, &popped)) break;
-    }
-    relax(settled, /*light=*/false);
   }
 
   // Parent derivation, decoupled from relaxation order so the tree is
-  // deterministic: every v takes its min-id predecessor over strictly
-  // improving tight edges (dist[u] + w == dist[v], w > 0) — acyclic because
-  // dist strictly decreases along parent chains.
-  auto assign_strict = [&](VertexId u) {
-    const double du = dist[u];
-    if (du == kInfDistance) return;
-    auto nbrs = g.OutNeighbors(u);
-    auto ws = g.OutWeights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId v = nbrs[i];
-      if (v == source || ws[i] <= 0 || du + ws[i] != dist[v]) continue;
-      if (threads > 1) {
-        std::atomic_ref<VertexId> pv(t.parent[v]);
-        VertexId cur = pv.load(std::memory_order_relaxed);
-        while (u < cur &&
-               !pv.compare_exchange_weak(cur, u, std::memory_order_relaxed)) {
+  // deterministic: every reached v takes its min-id predecessor over
+  // strictly improving tight edges (dist[u] + w == dist[v], w > 0) —
+  // acyclic because dist strictly decreases along parent chains.
+  VertexId* parent = t.parent.data();
+  const unsigned pass_threads = g.num_edges() < kSerialPassArcs ? 1 : threads;
+  ParallelFor(
+      pass_threads, 0, n,
+      [&](uint64_t i) {
+        const VertexId u = static_cast<VertexId>(i);
+        const double du = dist[u];
+        if (du == kInfDistance) return;
+        const uint64_t end = offsets[u + 1];
+        for (uint64_t e = offsets[u]; e < end; ++e) {
+          const VertexId v = targets[e];
+          const double w = weights[e];
+          const double nd = du + w;
+          // An arc into an unreached vertex is "tight" when nd is +inf.
+          if (v == source || w <= 0 || nd != dist[v] || nd == kInfDistance) {
+            continue;
+          }
+          if (pass_threads > 1) {
+            std::atomic_ref<VertexId> pv(parent[v]);
+            VertexId cur = pv.load(std::memory_order_relaxed);
+            while (u < cur &&
+                   !pv.compare_exchange_weak(cur, u, std::memory_order_relaxed)) {
+            }
+          } else if (u < parent[v]) {
+            parent[v] = u;
+          }
         }
-      } else if (u < t.parent[v]) {
-        t.parent[v] = u;
-      }
-    }
-  };
-  ParallelFor(threads, 0, n, [&](uint64_t u) { assign_strict(VertexId(u)); },
-              Schedule::kDynamic);
+      },
+      Schedule::kDynamic);
   // Vertices tied only through zero-weight edges get parents from a
   // deterministic BFS over the tie edges, seeded at already-anchored
-  // vertices in ascending id order (no random weight distribution produces
-  // ties, so this pass is normally a single scan).
+  // vertices in ascending id order. Without zero-weight arcs the arc that
+  // last lowered a vertex is a strict tight edge, so every reached vertex
+  // already has a parent.
   bool needs_tie_pass = false;
-  for (VertexId v = 0; v < n && !needs_tie_pass; ++v) {
-    needs_tie_pass = dist[v] != kInfDistance && t.parent[v] == kInvalidVertex;
+  for (VertexId v = 0; scan.has_zero && v < n && !needs_tie_pass; ++v) {
+    needs_tie_pass = dist[v] != kInfDistance && parent[v] == kInvalidVertex;
   }
   if (needs_tie_pass) {
     std::deque<VertexId> queue;
     for (VertexId v = 0; v < n; ++v) {
-      if (t.parent[v] != kInvalidVertex) queue.push_back(v);
+      if (parent[v] != kInvalidVertex) queue.push_back(v);
     }
     while (!queue.empty()) {
       const VertexId u = queue.front();
       queue.pop_front();
-      auto nbrs = g.OutNeighbors(u);
-      auto ws = g.OutWeights(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId v = nbrs[i];
-        if (v == source || ws[i] != 0 || dist[u] != dist[v] ||
-            t.parent[v] != kInvalidVertex) {
+      for (uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const VertexId v = targets[e];
+        if (v == source || weights[e] != 0 || dist[u] != dist[v] ||
+            parent[v] != kInvalidVertex) {
           continue;
         }
-        t.parent[v] = u;
+        parent[v] = u;
         queue.push_back(v);
       }
     }
   }
 
   if (obs::Enabled()) {
-    const BucketStats& bs = buckets.stats();
     obs::AddCounter("sssp.delta.runs", 1);
     obs::AddCounter("sssp.delta.buckets_popped",
-                    static_cast<int64_t>(bs.buckets_popped));
+                    static_cast<int64_t>(buckets.stats().buckets_popped));
+    obs::AddCounter("sssp.delta.forked_rounds",
+                    static_cast<int64_t>(forked_rounds));
     obs::AddCounter("sssp.delta.relaxations",
-                    static_cast<int64_t>(tally.relaxations));
+                    static_cast<int64_t>(relaxations));
     obs::AddCounter("sssp.delta.improvements",
-                    static_cast<int64_t>(tally.improvements));
-    obs::AddCounter("sssp.delta.wasted",
-                    static_cast<int64_t>(stale_pops));
+                    static_cast<int64_t>(improvements));
+    obs::AddCounter("sssp.delta.wasted", static_cast<int64_t>(stale));
     obs::RecordLatency("sssp.delta.latency_us",
                        static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
   }

@@ -22,26 +22,31 @@ struct ShortestPathTree {
   std::vector<VertexId> PathTo(VertexId target) const;
 };
 
-/// Dijkstra from `source`. Fails on negative edge weights.
+/// Dijkstra from `source`. Fails with Invalid on a negative or NaN weight.
 Result<ShortestPathTree> Dijkstra(const CsrGraph& g, VertexId source);
 
 struct SsspOptions {
   /// 0 = hardware concurrency, 1 = exact serial path (default), else that
   /// many workers (the convention shared by every parallel kernel).
   uint32_t num_threads = 1;
-  /// Bucket width for delta-stepping. 0 (the default) auto-tunes to the
-  /// average edge weight, which makes roughly one bucket per expected hop.
+  /// Bucket width for delta-stepping. 0 (the default) uses the smallest
+  /// positive finite arc weight, so every arc but a zero-weight one leaves
+  /// the popped bucket (1 when there is none). Any width, given or
+  /// default, is raised to at least (largest finite weight) / 4096, which
+  /// bounds the bucket ring to 4099 slots.
   double delta = 0.0;
 };
 
-/// Delta-stepping SSSP (Meyer-Sanders) over the shared priority-bucket
-/// layer: vertices are bucketed by floor(dist / delta); each bucket settles
-/// its light edges (w <= delta) in sub-rounds before relaxing heavy edges
-/// once. Distances are bitwise-equal to Dijkstra's on non-negative weights
-/// at every thread count (shortest-path distances are the unique minimal
+/// Delta-stepping SSSP (Meyer-Sanders) over a bounded ring of buckets:
+/// vertices are bucketed by floor(dist / delta), and each popped vertex
+/// still in its bucket relaxes all of its arcs in one pass. A round whose
+/// frontier has fewer than kSerialRoundArcs arcs runs on the caller; a
+/// larger one forks. Distances are bitwise-equal to Dijkstra's at every
+/// delta and thread count (shortest-path distances are the unique minimal
 /// fixpoint, and each distance is produced by the same chain of FP
 /// additions), and the parent tree is deterministic (min-id tight
-/// predecessor). Fails on negative edge weights.
+/// predecessor). Fails with Invalid on a negative or NaN weight; +inf
+/// weights are legal.
 Result<ShortestPathTree> DeltaSteppingSssp(const CsrGraph& g, VertexId source,
                                            const SsspOptions& options = {});
 
@@ -73,7 +78,7 @@ struct WeightedPath {
 
 /// Yen's algorithm: the k shortest loopless paths from source to target by
 /// non-decreasing cost (fewer than k returned when the graph has fewer
-/// distinct paths). Requires non-negative weights.
+/// distinct paths). Fails with Invalid on a negative or NaN weight.
 Result<std::vector<WeightedPath>> KShortestPaths(const CsrGraph& g,
                                                  VertexId source, VertexId target,
                                                  uint32_t k);

@@ -85,11 +85,6 @@ struct EngineRun {
   uint64_t switches = 0;
 };
 
-/// Push rounds whose frontier has fewer out-edges than this run serially even
-/// on the parallel path: a fork costs more than a few thousand edge visits,
-/// and on high-diameter graphs (road networks) every round is that small.
-constexpr uint64_t kSerialPushEdges = uint64_t{1} << 14;
-
 /// The direction-optimizing engine. `threads <= 1` is the exact-serial path:
 /// the same round bodies run inline over the full range, with plain
 /// (non-atomic) claims. Distances are unique per vertex, so every mode and
@@ -188,7 +183,7 @@ EngineRun HybridBfsEngine(const G& g, std::span<const VertexId> sources,
         uint64_t next_edges = 0;
       };
       Partial total;
-      if (!parallel || frontier_edges < kSerialPushEdges) {
+      if (!parallel || frontier_edges < kSerialRoundArcs) {
         for (VertexId u : verts) {
           for (VertexId v : g.OutNeighbors(u)) {
             ++total.scanned;

@@ -1,42 +1,35 @@
 #include "common/buckets.h"
 
-#include <algorithm>
+#include <bit>
 
 namespace ubigraph {
 
-void BucketStructure::Insert(uint64_t b, VertexId v) {
-  b = std::max(b, cursor_);
-  if (b >= buckets_.size()) buckets_.resize(b + 1);
-  buckets_[b].push_back(v);
-  ++live_;
-  ++stats_.items_inserted;
-  stats_.max_bucket = std::max(stats_.max_bucket, b);
-}
-
-void BucketStructure::InsertBatch(std::span<const BucketItem> items) {
-  for (const auto& [b, v] : items) Insert(b, v);
-}
+BucketStructure::BucketStructure(uint64_t span)
+    : slots_(std::bit_ceil(std::max<uint64_t>(span, 1))),
+      occupied_((slots_.size() + 63) / 64, 0),
+      mask_(slots_.size() - 1) {}
 
 uint64_t BucketStructure::PopNextBucket(std::vector<VertexId>* out) {
   if (live_ == 0) return kNoBucket;
-  while (cursor_ < buckets_.size() && buckets_[cursor_].empty()) ++cursor_;
-  if (cursor_ >= buckets_.size()) return kNoBucket;  // unreachable if live_ > 0
+  // Walk the bitmap from the cursor's slot around the ring. Every live entry
+  // lies within the span above the cursor, so ring order from the cursor's
+  // slot is bucket order, and some bit is set.
+  const uint64_t start = cursor_ & mask_;
+  uint64_t word = start / 64;
+  uint64_t bits = occupied_[word] & (~uint64_t{0} << (start % 64));
+  while (bits == 0) {
+    word = word + 1 == occupied_.size() ? 0 : word + 1;
+    bits = occupied_[word];
+  }
+  const uint64_t s = word * 64 + static_cast<uint64_t>(std::countr_zero(bits));
+  cursor_ += (s - start) & mask_;
+  occupied_[word] &= ~(uint64_t{1} << (s % 64));
   out->clear();
-  out->swap(buckets_[cursor_]);
+  out->swap(slots_[s]);
   live_ -= out->size();
   ++stats_.buckets_popped;
   stats_.items_popped += out->size();
   return cursor_;
-}
-
-bool BucketStructure::PopSame(uint64_t b, std::vector<VertexId>* out) {
-  if (b != cursor_ || b >= buckets_.size() || buckets_[b].empty()) return false;
-  out->clear();
-  out->swap(buckets_[b]);
-  live_ -= out->size();
-  ++stats_.buckets_popped;
-  stats_.items_popped += out->size();
-  return true;
 }
 
 }  // namespace ubigraph

@@ -50,6 +50,13 @@ enum class Schedule : uint8_t {
 /// Default indices per dynamically-scheduled chunk and per reduce chunk.
 inline constexpr uint64_t kDefaultGrain = 1024;
 
+/// The per-round cutoff of the round-synchronous traversals (hybrid BFS push
+/// rounds, delta-stepping buckets): a round whose frontier has fewer
+/// out-arcs than this runs on the caller even on the parallel path. A fork
+/// costs more than a few thousand arc visits, and on high-diameter graphs
+/// (road networks) every round is that small.
+inline constexpr uint64_t kSerialRoundArcs = uint64_t{1} << 14;
+
 namespace internal {
 
 using TaskFn = void (*)(void* ctx, uint64_t task);

@@ -34,16 +34,4 @@ concept NeighborRangeGraph = requires(const G& g, VertexId v,
       std::ranges::range_value_t<decltype(g.InNeighbors(v))>, VertexId>;
 };
 
-/// Extension for weighted kernels (delta-stepping SSSP): the graph also
-/// exposes per-vertex edge weights positionally parallel to OutNeighbors.
-/// Only CsrGraph models this today — the compressed CSR stores no weights —
-/// but reordered graphs compose for free because Permute returns a CsrGraph.
-template <typename G>
-concept WeightedNeighborRangeGraph =
-    NeighborRangeGraph<G> && requires(const G& g, VertexId v) {
-      requires std::ranges::random_access_range<decltype(g.OutWeights(v))>;
-      requires std::convertible_to<
-          std::ranges::range_value_t<decltype(g.OutWeights(v))>, double>;
-    };
-
 }  // namespace ubigraph

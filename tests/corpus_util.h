@@ -53,7 +53,7 @@ inline EdgeList CorpusEdges(CorpusShape shape, uint64_t seed) {
 }
 
 /// Same shapes with deterministic positive weights in [0.1, 1.1) for the
-/// SSSP kernels (the spread keeps delta-stepping's light/heavy split live).
+/// SSSP kernels (the spread puts distances in many delta-stepping buckets).
 inline EdgeList WeightedCorpusEdges(CorpusShape shape, uint64_t seed) {
   EdgeList el = CorpusEdges(shape, seed);
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
