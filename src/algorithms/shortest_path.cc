@@ -33,7 +33,7 @@ std::vector<VertexId> ShortestPathTree::PathTo(VertexId target) const {
 namespace {
 
 /// NaN fails like a negative weight, as in DeltaSteppingSssp, so the two
-/// kernels accept the same graphs.
+/// kernels accept the same graphs. A unit-weight CSR has no array to check.
 Status CheckNonNegativeWeights(const CsrGraph& g) {
   for (double w : g.weights()) {
     if (!(w >= 0)) return Status::Invalid("Dijkstra requires non-negative weights");
@@ -172,9 +172,11 @@ struct alignas(64) ChunkOut {
 /// frontier has fewer than kSerialRoundArcs arcs runs on the caller with
 /// plain loads and stores; a larger one forks, writing distances through a
 /// relaxed CAS-min on std::atomic_ref<double> into per-chunk buffers that
-/// are reused across rounds.
+/// are reused across rounds. `weight(e)` is arc e's weight.
+template <typename WeightFn>
 Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
-                                             const SsspOptions& options) {
+                                             const SsspOptions& options,
+                                             WeightFn weight) {
   const VertexId n = g.num_vertices();
   if (source >= n) return Status::OutOfRange("source out of range");
 
@@ -188,13 +190,12 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
     double max_finite = 0.0;
   };
   const unsigned threads = ResolveNumThreads(options.num_threads);
-  const double* weights = g.weights().data();
   const WeightScan scan = ParallelReduce(
       threads, 0, g.num_edges(), WeightScan{},
-      [weights](uint64_t b, uint64_t e) {
+      [&weight](uint64_t b, uint64_t e) {
         WeightScan p;
         for (uint64_t i = b; i < e; ++i) {
-          const double w = weights[i];
+          const double w = weight(i);
           p.valid &= w >= 0;
           p.has_zero |= w == 0;
           if (w > 0 && w < p.min_positive) p.min_positive = w;
@@ -271,7 +272,7 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
         relaxations += end - offsets[u];
         for (uint64_t e = offsets[u]; e < end; ++e) {
           const VertexId v = targets[e];
-          const double nd = du + weights[e];
+          const double nd = du + weight(e);
           const double old = dist[v];
           if (nd < old) {
             dist[v] = nd;
@@ -303,7 +304,7 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
         out.relaxations += end - offsets[u];
         for (uint64_t a = offsets[u]; a < end; ++a) {
           const VertexId v = targets[a];
-          const double nd = du + weights[a];
+          const double nd = du + weight(a);
           std::atomic_ref<double> dv(dist[v]);
           double old = dv.load(std::memory_order_relaxed);
           while (nd < old) {
@@ -343,7 +344,7 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
         const uint64_t end = offsets[u + 1];
         for (uint64_t e = offsets[u]; e < end; ++e) {
           const VertexId v = targets[e];
-          const double w = weights[e];
+          const double w = weight(e);
           const double nd = du + w;
           // An arc into an unreached vertex is "tight" when nd is +inf.
           if (v == source || w <= 0 || nd != dist[v] || nd == kInfDistance) {
@@ -380,7 +381,7 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
       queue.pop_front();
       for (uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
         const VertexId v = targets[e];
-        if (v == source || weights[e] != 0 || dist[u] != dist[v] ||
+        if (v == source || weight(e) != 0 || dist[u] != dist[v] ||
             parent[v] != kInvalidVertex) {
           continue;
         }
@@ -411,7 +412,13 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
 
 Result<ShortestPathTree> DeltaSteppingSssp(const CsrGraph& g, VertexId source,
                                            const SsspOptions& options) {
-  return DeltaSteppingEngine(g, source, options);
+  // A unit-weight CSR stores no weight array: each of its arcs weighs 1.0.
+  if (g.weights().empty()) {
+    return DeltaSteppingEngine(g, source, options, [](uint64_t) { return 1.0; });
+  }
+  const double* weights = g.weights().data();
+  return DeltaSteppingEngine(g, source, options,
+                             [weights](uint64_t e) { return weights[e]; });
 }
 
 Result<uint32_t> BidirectionalBfsDistance(const CsrGraph& g, VertexId source,

@@ -145,11 +145,10 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
 
   if (!sort_lists) return;
 
-  // Per-vertex neighbor sort. When every weight is identical (the common
-  // unweighted case) the value array carries no information and the target
-  // ranges sort directly; otherwise (dst, weight) pairs sort through a
-  // per-worker scratch buffer reused across vertices instead of a fresh
-  // allocation per vertex.
+  // Per-vertex neighbor sort. Without a weight array (unit weights), or when
+  // every weight is identical, the target ranges sort directly; otherwise
+  // (dst, weight) pairs sort through a per-worker scratch buffer reused
+  // across vertices instead of a fresh allocation per vertex.
   bool uniform_weights = true;
   if (weights != nullptr && total > 0) {
     const double w0 = (*weights)[0];
@@ -191,7 +190,8 @@ void BuildIndex(std::span<const Edge> es, VertexId n, bool sym, bool reverse,
 }  // namespace
 
 Result<CsrGraph> CsrGraph::FromEdges(EdgeList edges, CsrOptions options) {
-  UG_RETURN_NOT_OK(edges.Validate());
+  bool unit_weights = false;
+  UG_RETURN_NOT_OK(edges.Validate(&unit_weights));
   if (options.remove_self_loops) edges.RemoveSelfLoops();
   if (options.deduplicate) edges.Deduplicate();
 
@@ -214,10 +214,13 @@ Result<CsrGraph> CsrGraph::FromEdges(EdgeList edges, CsrOptions options) {
       threads > 1 ? "csr.build.path.parallel" : "csr.build.path.serial", 1);
 
   // Undirected graphs scatter both arc directions straight from the
-  // half-edge list instead of materializing a doubled copy first.
+  // half-edge list instead of materializing a doubled copy first. Unit
+  // weights are not scattered: OutWeights reads them from one row of ones.
   const std::span<const Edge> es(edges.edges());
   BuildIndex(es, g.num_vertices_, /*sym=*/!options.directed, /*reverse=*/false,
-             options.sort_neighbors, threads, g.offsets_, g.dst_, &g.weights_);
+             options.sort_neighbors, threads, g.offsets_, g.dst_,
+             unit_weights ? nullptr : &g.weights_);
+  if (unit_weights) g.unit_row_.assign(g.MaxOutDegree(), 1.0);
   if (options.directed && options.build_in_edges) {
     BuildIndex(es, g.num_vertices_, /*sym=*/false, /*reverse=*/true,
                options.sort_neighbors, threads, g.in_offsets_, g.in_src_,
@@ -351,7 +354,10 @@ Result<PermutedCsr> CsrGraph::Permute(std::span<const VertexId> perm,
     ParallelForChunks(threads, 0, n, copy_rows, Schedule::kDynamic);
   };
 
-  relabel_index(offsets_, dst_, &weights_, g.offsets_, g.dst_, &g.weights_);
+  const bool unit_weights = weights_.empty();
+  relabel_index(offsets_, dst_, unit_weights ? nullptr : &weights_, g.offsets_,
+                g.dst_, unit_weights ? nullptr : &g.weights_);
+  g.unit_row_ = unit_row_;
   if (directed_ && !in_offsets_.empty()) {
     relabel_index(in_offsets_, in_src_, /*src_w=*/nullptr, g.in_offsets_,
                   g.in_src_, /*w=*/nullptr);
@@ -365,7 +371,7 @@ EdgeList CsrGraph::ToEdgeList() const {
   out.Reserve(dst_.size());
   for (VertexId v = 0; v < num_vertices_; ++v) {
     for (uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      out.Add(v, dst_[i], weights_[i]);
+      out.Add(v, dst_[i], weights_.empty() ? 1.0 : weights_[i]);
     }
   }
   out.EnsureVertices(num_vertices_);

@@ -56,6 +56,7 @@ struct PermuteOptions {
 struct PermutedCsr;
 
 /// Immutable CSR graph with optional edge weights and optional in-edge index.
+/// A graph whose weights are all exactly 1.0 stores no weight array.
 class CsrGraph {
  public:
   /// Default-constructs an empty graph (0 vertices). Useful as a member that
@@ -83,6 +84,7 @@ class CsrGraph {
     return {dst_.data() + offsets_[v], dst_.data() + offsets_[v + 1]};
   }
   std::span<const double> OutWeights(VertexId v) const {
+    if (weights_.empty()) return {unit_row_.data(), OutDegree(v)};
     return {weights_.data() + offsets_[v], weights_.data() + offsets_[v + 1]};
   }
 
@@ -122,6 +124,8 @@ class CsrGraph {
 
   const std::vector<uint64_t>& offsets() const { return offsets_; }
   const std::vector<VertexId>& targets() const { return dst_; }
+  /// Per-arc weights, aligned with targets(). Empty when every weight is
+  /// exactly 1.0: such a graph stores none, and OutWeights yields ones.
   const std::vector<double>& weights() const { return weights_; }
 
  private:
@@ -130,7 +134,8 @@ class CsrGraph {
   bool sorted_ = false;
   std::vector<uint64_t> offsets_;      // size V+1
   std::vector<VertexId> dst_;          // size E
-  std::vector<double> weights_;        // size E
+  std::vector<double> weights_;        // size E, or empty if all are 1.0
+  std::vector<double> unit_row_;       // MaxOutDegree() ones if weights_ is empty
   std::vector<uint64_t> in_offsets_;   // size V+1 if built
   std::vector<VertexId> in_src_;       // size E if built
 };

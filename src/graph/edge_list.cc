@@ -50,14 +50,18 @@ EdgeList EdgeList::Symmetrized() const {
   return out;
 }
 
-Status EdgeList::Validate() const {
+Status EdgeList::Validate(bool* unit_weights) const {
+  // Weights are compared only up to the first one other than 1.0.
+  bool unit = true;
   for (const Edge& e : edges_) {
     if (e.src >= num_vertices_ || e.dst >= num_vertices_) {
       return Status::Invalid("edge (" + std::to_string(e.src) + ", " +
                              std::to_string(e.dst) + ") exceeds vertex count " +
                              std::to_string(num_vertices_));
     }
+    unit = unit && e.weight == 1.0;
   }
+  if (unit_weights != nullptr) *unit_weights = unit;
   return Status::OK();
 }
 

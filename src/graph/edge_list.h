@@ -71,8 +71,9 @@ class EdgeList {
   /// once). Useful to feed an undirected graph into directed-only algorithms.
   EdgeList Symmetrized() const;
 
-  /// Fails if any endpoint is >= num_vertices().
-  Status Validate() const;
+  /// Fails if any endpoint is >= num_vertices(). When `unit_weights` is
+  /// given, also reports whether every weight is exactly 1.0.
+  Status Validate(bool* unit_weights = nullptr) const;
 
  private:
   VertexId num_vertices_ = 0;

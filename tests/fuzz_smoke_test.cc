@@ -4,6 +4,7 @@
 // hang, or corrupt memory. (Run under ASan in CI-like setups.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <filesystem>
@@ -364,6 +365,130 @@ TEST(TextParserOracleTest, EdgeListFuzzInputs) {
         },
         io::WriteEdgeListText(el), seed++);
   }
+}
+
+// Edge lists of 1 MiB and more parse in 1 MiB chunks on the team, and files
+// that size stream through per-thread read windows; both must still match
+// the oracle byte for byte.
+
+/// Seeded RMAT-15 text, ~3.2 MB (four parse chunks). Every fifth edge has a
+/// weight, so the chunks parse weights too.
+std::string RmatEdgeListText() {
+  Rng rng(2024);
+  EdgeList el = gen::Rmat(15, uint64_t{8} << 15, &rng).ValueOrDie();
+  std::vector<Edge>& edges = el.mutable_edges();
+  for (size_t i = 0; i < edges.size(); i += 5) {
+    edges[i].weight = 0.5 + 0.25 * static_cast<double>(i % 13);
+  }
+  return io::WriteEdgeListText(el);
+}
+
+/// Replaces the line that holds byte `at` (0 < at < size) with `line`,
+/// given without its '\n'.
+std::string ReplaceLineAt(std::string doc, size_t at, const std::string& line) {
+  const size_t begin = doc.rfind('\n', at - 1) + 1;  // npos + 1 == 0
+  const size_t end = std::min(doc.find('\n', begin), doc.size());
+  return doc.replace(begin, end - begin, line);
+}
+
+/// Rewrites the lines around byte `at` (at >= 2) so that `lines` starts
+/// exactly there: a filler comment line runs up to it, and the partial
+/// line after it is dropped. Bytes before the line that holds `at - 1`
+/// keep their offsets, so placements go in ascending order.
+std::string PlaceLinesAt(const std::string& doc, size_t at, const std::string& lines) {
+  const size_t begin = doc.rfind('\n', at - 2) + 1;  // at most at - 1
+  const size_t fill = at - begin;                     // filler with its '\n'
+  std::string out = doc.substr(0, begin);
+  if (fill == 1) {
+    out += '\n';  // a blank line
+  } else {
+    out += '#';
+    out.append(fill - 2, '.');
+    out += '\n';
+  }
+  out += lines;
+  const size_t end = doc.find('\n', at);
+  if (end != std::string::npos) out += doc.substr(end + 1);
+  return out;
+}
+
+/// ExpectMatchesOracle for multi-MiB documents: names the case instead of
+/// printing the document, and reports the first differing edge.
+void ExpectSameParse(const Result<EdgeList>& got, const Result<EdgeList>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what << ": " << got.status().ToString()
+                                 << " vs " << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    EXPECT_EQ(got.status().message(), want.status().message()) << what;
+    return;
+  }
+  EXPECT_EQ(got->num_vertices(), want->num_vertices()) << what;
+  ASSERT_EQ(got->num_edges(), want->num_edges()) << what;
+  const auto [a, b] = std::mismatch(
+      got->edges().begin(), got->edges().end(), want->edges().begin(),
+      [](const Edge& x, const Edge& y) {
+        return x.src == y.src && x.dst == y.dst &&
+               std::bit_cast<uint64_t>(x.weight) == std::bit_cast<uint64_t>(y.weight);
+      });
+  EXPECT_TRUE(a == got->edges().end())
+      << what << ": edge " << (a - got->edges().begin()) << " differs";
+}
+
+TEST(TextParserOracleTest, EdgeListChunkedDocuments) {
+  using namespace std::string_literals;
+  constexpr size_t kChunk = size_t{1} << 20;  // the parse's chunk size
+  const std::string base = RmatEdgeListText();
+  ASSERT_GT(base.size(), 3 * kChunk);
+  std::string crlf;
+  for (char c : base) crlf += c == '\n' ? "\r\n" : std::string(1, c);
+  const size_t mid = base.rfind('\n', base.size() / 2) + 1;
+
+  const std::vector<std::pair<std::string, std::string>> docs = {
+      {"valid", base},
+      {"no trailing newline", base.substr(0, base.size() - 1)},
+      {"error in the last chunk", ReplaceLineAt(base, base.size() - 1000, "7 x")},
+      {"errors in two chunks",
+       ReplaceLineAt(ReplaceLineAt(base, kChunk + 500, "-1 2"), 2 * kChunk + 500,
+                     "1 2 3 4")},
+      {"error on a chunk's first line", PlaceLinesAt(base, 2 * kChunk, "5 6 x\n")},
+      {"error on the line that crosses into a chunk",
+       PlaceLinesAt(base, 2 * kChunk - 3, "5 6 x\n")},
+      {"comment and blank lines at chunk starts",
+       PlaceLinesAt(PlaceLinesAt(base, kChunk, "# c\n"), 2 * kChunk, "\n \t\n3 4\n")},
+      {"comment crossing a chunk start", PlaceLinesAt(base, kChunk - 2, "# comment\n")},
+      {"\\r\\n lines across chunk starts",
+       PlaceLinesAt(PlaceLinesAt(crlf, kChunk - 4, "7 8\r\n"), 2 * kChunk - 3, "5 6\r\n")},
+      {"comments every few lines", [&] {
+         std::string doc;
+         size_t line = 0;
+         for (char c : base) {
+           doc += c;
+           if (c == '\n' && ++line % 7 == 0) doc += line % 2 ? "# note\n" : "  \n";
+         }
+         return doc;
+       }()},
+      {"3 MiB comment line",
+       base.substr(0, mid) + "#" + std::string(3 * kChunk, 'x') + "\n" + base.substr(mid)},
+      {"record longer than the read window",
+       PlaceLinesAt(base, kChunk - 100, "1 2" + std::string(200000, ' ') + "0.5\n")},
+      {"bad line longer than the read window",
+       PlaceLinesAt(base, 2 * kChunk - 10, "1 2" + std::string(100000, '\t') + "3 4\n")},
+      {"NUL byte in a record", ReplaceLineAt(base, 2 * kChunk + 300, "12\0 3"s)},
+      {"NUL byte in a comment", ReplaceLineAt(base, kChunk + 300, "# a\0b"s)},
+      {"id 4294967295 first", "4294967295 0\n" + base},
+      {"id 4294967295 in the middle", ReplaceLineAt(base, mid, "4294967295 7")},
+      {"id 4294967295 last", base + "4294967295 1\n"},
+  };
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ubigraph_chunked_oracle.el").string();
+  for (const auto& [what, doc] : docs) {
+    const Result<EdgeList> want = oracle::ParseEdgeListText(doc);
+    ExpectSameParse(io::ParseEdgeListText(doc), want, what + " (text)");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << doc;
+    ExpectSameParse(io::ReadEdgeListFile(path), want, what + " (file)");
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(TextParserOracleTest, MatrixMarketFuzzInputs) {

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
+#include "algorithms/mst.h"
+#include "algorithms/shortest_path.h"
+#include "common/random.h"
+#include "gen/generators.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edge_list.h"
 #include "graph/property_graph.h"
+#include "obs/metrics.h"
 
 namespace ubigraph {
 namespace {
@@ -177,6 +185,130 @@ TEST(CsrGraphTest, FromPairsConvenience) {
 TEST(CsrGraphTest, MaxOutDegree) {
   auto g = CsrGraph::FromPairs(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}}).ValueOrDie();
   EXPECT_EQ(g.MaxOutDegree(), 3u);
+}
+
+// --- Unit-weight graphs store no weight array --------------------------------
+
+/// Seeded RMAT multigraph (loops, repeats, isolated vertices) with every
+/// weight 1.0. Scale 14 is large enough for delta-stepping to fork rounds.
+EdgeList UnitWeightEdges(uint32_t scale) {
+  Rng rng(31);
+  return gen::Rmat(scale, uint64_t{8} << scale, &rng).ValueOrDie();
+}
+
+void ExpectUnitOutWeights(const CsrGraph& g) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto ws = g.OutWeights(v);
+    ASSERT_EQ(ws.size(), g.OutDegree(v)) << v;
+    for (double w : ws) ASSERT_EQ(w, 1.0) << v;
+  }
+  const EdgeList el = g.ToEdgeList();
+  for (const Edge& e : el.edges()) ASSERT_EQ(e.weight, 1.0);
+}
+
+TEST(CsrGraphTest, UnitWeightsStoreNoWeightArray) {
+  for (bool directed : {true, false}) {
+    CsrOptions opts;
+    opts.directed = directed;
+    opts.build_in_edges = directed;
+    const CsrGraph g = CsrGraph::FromEdges(UnitWeightEdges(9), opts).ValueOrDie();
+    ASSERT_GT(g.num_edges(), 0u);
+    EXPECT_TRUE(g.weights().empty()) << directed;
+    ExpectUnitOutWeights(g);
+    EXPECT_EQ(g.ToEdgeList().num_edges(), g.num_edges());
+
+    std::vector<VertexId> reversed(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      reversed[v] = g.num_vertices() - 1 - v;
+    }
+    for (bool sort : {false, true}) {
+      PermuteOptions popts;
+      popts.sort_neighbors = sort;
+      popts.num_threads = 4;
+      const CsrGraph p = g.Permute(reversed, popts).ValueOrDie().graph;
+      EXPECT_TRUE(p.weights().empty()) << directed << sort;
+      ExpectUnitOutWeights(p);
+      EXPECT_EQ(p.ToEdgeList().num_edges(), g.num_edges());
+    }
+  }
+}
+
+TEST(CsrGraphTest, OneOtherWeightKeepsTheWeightArray) {
+  EdgeList el = UnitWeightEdges(9);
+  // The last edge: the unit check must look at every weight.
+  Edge& heavy = el.mutable_edges().back();
+  heavy.weight = 2.5;
+  const VertexId src = heavy.src;
+  const CsrGraph g = CsrGraph::FromEdges(el).ValueOrDie();
+  ASSERT_EQ(g.weights().size(), g.num_edges());
+  EXPECT_EQ(std::count(g.weights().begin(), g.weights().end(), 2.5), 1);
+  EXPECT_EQ(std::count(g.weights().begin(), g.weights().end(), 1.0),
+            static_cast<ptrdiff_t>(g.num_edges() - 1));
+  const auto ws = g.OutWeights(src);
+  EXPECT_EQ(std::count(ws.begin(), ws.end(), 2.5), 1);
+
+  std::vector<VertexId> identity(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) identity[v] = v;
+  const CsrGraph p = g.Permute(identity).ValueOrDie().graph;
+  EXPECT_EQ(p.weights(), g.weights());
+}
+
+TEST(CsrGraphTest, UnitWeightShortestPathsAndMstMatchDoubledWeights) {
+  const EdgeList unit = UnitWeightEdges(14);
+  EdgeList twos = unit;
+  for (Edge& e : twos.mutable_edges()) e.weight = 2.0;
+  for (bool directed : {true, false}) {
+    CsrOptions opts;
+    opts.directed = directed;
+    const CsrGraph g1 = CsrGraph::FromEdges(unit, opts).ValueOrDie();
+    const CsrGraph g2 = CsrGraph::FromEdges(twos, opts).ValueOrDie();
+    ASSERT_TRUE(g1.weights().empty());
+    ASSERT_EQ(g2.weights().size(), g2.num_edges());
+    VertexId source = 0;
+    for (VertexId v = 0; v < g1.num_vertices(); ++v) {
+      if (g1.OutDegree(v) > g1.OutDegree(source)) source = v;
+    }
+    auto expect_half = [&](const algo::ShortestPathTree& a,
+                           const algo::ShortestPathTree& b, const char* what,
+                           unsigned threads) {
+      ASSERT_EQ(a.distance.size(), b.distance.size());
+      for (size_t v = 0; v < a.distance.size(); ++v) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.distance[v]),
+                  std::bit_cast<uint64_t>(b.distance[v] / 2))
+            << what << " threads=" << threads << " directed=" << directed << " v=" << v;
+      }
+      EXPECT_EQ(a.parent, b.parent) << what << " threads=" << threads;
+    };
+    expect_half(algo::Dijkstra(g1, source).ValueOrDie(),
+                algo::Dijkstra(g2, source).ValueOrDie(), "dijkstra", 1);
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      algo::SsspOptions sopts;
+      sopts.num_threads = threads;
+      const int64_t forked = obs::CounterValue("sssp.delta.forked_rounds");
+      expect_half(algo::DeltaSteppingSssp(g1, source, sopts).ValueOrDie(),
+                  algo::DeltaSteppingSssp(g2, source, sopts).ValueOrDie(),
+                  "delta-stepping", threads);
+      // The parallel relax loop ran on both graphs.
+      if (threads > 1) {
+        EXPECT_GE(obs::CounterValue("sssp.delta.forked_rounds") - forked, 2);
+      }
+    }
+
+    auto same_edges = [&](const algo::MstResult& a, const algo::MstResult& b,
+                          const char* what) {
+      ASSERT_EQ(a.edges.size(), b.edges.size()) << what;
+      for (size_t i = 0; i < a.edges.size(); ++i) {
+        EXPECT_EQ(a.edges[i].src, b.edges[i].src) << what << " " << i;
+        EXPECT_EQ(a.edges[i].dst, b.edges[i].dst) << what << " " << i;
+      }
+      EXPECT_EQ(2 * a.total_weight, b.total_weight) << what;
+      EXPECT_EQ(a.num_trees, b.num_trees) << what;
+    };
+    same_edges(algo::MinimumSpanningForestKruskal(g1),
+               algo::MinimumSpanningForestKruskal(g2), "kruskal");
+    same_edges(algo::MinimumSpanningForestPrim(g1),
+               algo::MinimumSpanningForestPrim(g2), "prim");
+  }
 }
 
 TEST(DynamicGraphTest, AddRemoveEdges) {

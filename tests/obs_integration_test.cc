@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <vector>
 
@@ -194,6 +196,39 @@ TEST_F(ObsIntegrationTest, IoParserFlushesBytesAndRecords) {
 
   EXPECT_FALSE(io::ParseEdgeListText("0 not-a-vertex\n").ok());
   EXPECT_EQ(CounterValue("io.edge_list.parse_errors"), 1);
+}
+
+TEST_F(ObsIntegrationTest, EdgeListFileFlushesWhatItsTextFlushes) {
+  // Over 1 MiB, so the file streams through the chunked parse.
+  Rng rng(3);
+  const std::string text = io::WriteEdgeListText(
+      gen::Rmat(15, uint64_t{8} << 15, &rng).ValueOrDie());
+  ASSERT_GT(text.size(), size_t{1} << 20);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ubigraph_obs_edge_list.el").string();
+  auto write = [&path](const std::string& doc) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << doc;
+  };
+
+  const size_t edges = io::ParseEdgeListText(text).ValueOrDie().num_edges();
+  const int64_t bytes = CounterValue("io.edge_list.bytes");
+  const int64_t records = CounterValue("io.edge_list.records");
+  EXPECT_EQ(bytes, static_cast<int64_t>(text.size()));
+  EXPECT_EQ(records, static_cast<int64_t>(edges));
+
+  MetricsRegistry::Global().Reset();
+  write(text);
+  EXPECT_EQ(io::ReadEdgeListFile(path).ValueOrDie().num_edges(), edges);
+  EXPECT_EQ(CounterValue("io.edge_list.bytes"), bytes);
+  EXPECT_EQ(CounterValue("io.edge_list.records"), records);
+  EXPECT_EQ(CounterValue("io.edge_list.parse_errors"), 0);
+
+  MetricsRegistry::Global().Reset();
+  write(text + "1 x\n");
+  EXPECT_FALSE(io::ReadEdgeListFile(path).ok());
+  EXPECT_EQ(CounterValue("io.edge_list.parse_errors"), 1);
+  EXPECT_EQ(CounterValue("io.edge_list.records"), 0);
+  std::filesystem::remove(path);
 }
 
 TEST_F(ObsIntegrationTest, CypherExecutorCountsRows) {
