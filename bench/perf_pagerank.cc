@@ -69,35 +69,27 @@ void BM_PageRankPush(benchmark::State& state) {
 BENCHMARK(BM_PageRankPull)->Args({12, 1})->Args({20, 1})->Args({20, 8});
 BENCHMARK(BM_PageRankPush)->Args({12, 1})->Args({20, 1})->Args({20, 8});
 
-// Run-to-convergence comparison where the delta mode's frontier pays off:
-// once most vertices stop moving it skips their gathers entirely.
-void PageRankConvergeBench(benchmark::State& state, algo::PageRankMode mode,
-                           const char* mode_name) {
+// Pull PageRank run to convergence (tolerance 1e-8) rather than for a fixed
+// 20 sweeps: work_items counts the in-edges gathered until a sweep certifies.
+void BM_PageRankConvergePull(benchmark::State& state) {
   const uint32_t scale = static_cast<uint32_t>(state.range(0));
   const CsrGraph& g = bench::RmatGraph(scale, /*in_edges=*/true);
   algo::PageRankOptions opts;
   opts.max_iterations = 200;
   opts.tolerance = 1e-8;
   opts.num_threads = static_cast<uint32_t>(state.range(1));
-  opts.mode = mode;
+  opts.mode = algo::PageRankMode::kPull;
   bench::WorkProbe work({"pagerank.edges_relaxed"});
   for (auto _ : state) {
     benchmark::DoNotOptimize(algo::PageRank(g, opts).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
   work.Flush(state);
-  state.SetLabel(std::string("kernel=pagerank_converge mode=") + mode_name +
-                 " graph=rmat" + std::to_string(scale));
+  state.SetLabel("kernel=pagerank_converge mode=pull graph=rmat" +
+                 std::to_string(scale));
   state.counters["threads"] = static_cast<double>(state.range(1));
 }
-void BM_PageRankConvergePull(benchmark::State& state) {
-  PageRankConvergeBench(state, algo::PageRankMode::kPull, "pull");
-}
-void BM_PageRankConvergeDelta(benchmark::State& state) {
-  PageRankConvergeBench(state, algo::PageRankMode::kDelta, "delta");
-}
 BENCHMARK(BM_PageRankConvergePull)->Args({12, 1})->Args({16, 1});
-BENCHMARK(BM_PageRankConvergeDelta)->Args({12, 1})->Args({16, 1});
 
 // Fixed-work pull PageRank on the LFR corpus shape: power-law communities
 // with 10% inter-community edges — locality sits between RMAT's scrambled

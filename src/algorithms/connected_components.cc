@@ -172,7 +172,7 @@ Result<ComponentResult> ConnectedComponentsLabelPropImpl(
   const VertexId n = g.num_vertices();
   if (n == 0) return ComponentResult{};
   const unsigned workers =
-      g.num_edges() < kSerialLinkArcs ? 1 : ResolveNumThreads(options.num_threads);
+      g.num_edges() < kSerialPassArcs ? 1 : ResolveNumThreads(options.num_threads);
   ConcurrentUnionFind uf(n);
   // Links, for every vertex u that `visit(u)` admits, its out-arcs at positions
   // [first, last) and, with `in_arcs`, all its in-arcs. Returns the arcs linked.

@@ -88,11 +88,6 @@ class ConcurrentUnionFind {
   std::vector<uint32_t> parent_;
 };
 
-/// Graphs with fewer arcs than this run the parallel components kernels
-/// (ConnectedComponentsLabelProp, shard::ShardedComponents) on the calling
-/// thread: below it a fork costs more than the links it spreads.
-inline constexpr uint64_t kSerialLinkArcs = uint64_t{1} << 17;
-
 struct ComponentsOptions {
   /// 0 = hardware_concurrency, 1 = exact serial path (default), >= 2 = that
   /// many workers. Labels are identical at every setting.
@@ -105,7 +100,7 @@ struct ComponentsOptions {
 /// directed graph its in-arcs too, so an arc out of a skipped giant vertex is still
 /// linked. Labels match WeaklyConnectedComponents exactly, and cc.arcs_linked (arcs
 /// handed to Link) is the same at every thread count. No labels propagate; the name
-/// is kept for callers.
+/// is kept for callers. Graphs below kSerialPassArcs run on the calling thread.
 /// Fails with InvalidArgument on a directed graph without the in-edge index.
 Result<ComponentResult> ConnectedComponentsLabelProp(
     const CsrGraph& g, ComponentsOptions options = {});

@@ -149,10 +149,6 @@ constexpr double kRingCap = 4096;
 /// Frontier entries per relax chunk of a forked round.
 constexpr uint64_t kSsspGrain = 256;
 
-/// A whole-graph pass (the weight sweep, the parent pass) over fewer arcs
-/// than this runs on the caller; it is also the weight sweep's chunk size.
-constexpr uint64_t kSerialPassArcs = uint64_t{1} << 16;
-
 /// One forked round's output for one chunk: the (bucket, vertex) entries it
 /// pushed, merged in chunk order, and its tallies. Cache-line aligned so
 /// neighbouring chunks' pushes do not share a line.
@@ -182,7 +178,8 @@ Result<ShortestPathTree> DeltaSteppingEngine(const CsrGraph& g, VertexId source,
 
   // One sweep validates the weights (NaN fails like a negative weight) and
   // finds the smallest positive and the largest finite weight. +inf arcs
-  // are legal: they never improve a distance.
+  // are legal: they never improve a distance. Its chunks are kSerialPassArcs
+  // long, so a graph below that cutoff sweeps on the caller.
   struct WeightScan {
     bool valid = true;
     bool has_zero = false;

@@ -57,6 +57,12 @@ inline constexpr uint64_t kDefaultGrain = 1024;
 /// (road networks) every round is that small.
 inline constexpr uint64_t kSerialRoundArcs = uint64_t{1} << 14;
 
+/// The whole-graph cutoff: on a graph with fewer arcs than this, a pass over
+/// all of it (the components links, a pull PageRank sweep, delta-stepping's
+/// weight scan and parent pass) runs on the caller. Below it a fork costs
+/// more than the work it spreads. Every result is independent of it.
+inline constexpr uint64_t kSerialPassArcs = uint64_t{1} << 17;
+
 namespace internal {
 
 using TaskFn = void (*)(void* ctx, uint64_t task);

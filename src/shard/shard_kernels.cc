@@ -219,7 +219,7 @@ Result<algo::ComponentResult> ShardedComponents(
   const VertexId n = g.num_vertices();
   const uint32_t S = g.num_shards();
   const unsigned W =
-      g.num_edges() < algo::kSerialLinkArcs ? 1 : ResolveNumThreads(options.num_threads);
+      g.num_edges() < kSerialPassArcs ? 1 : ResolveNumThreads(options.num_threads);
   const ShardPlan plan(S, W);
 
   // One sweep in PageRank's access pattern, linking every decoded arc. Union is

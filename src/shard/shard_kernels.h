@@ -84,7 +84,7 @@ Result<std::vector<uint32_t>> ShardedBfs(
 /// linked into an algo::ConcurrentUnionFind (union ignores direction).
 /// Labels match algo::WeaklyConnectedComponents exactly: canonical ids
 /// assigned by first appearance in ascending ORIGINAL vertex order. Graphs
-/// below algo::kSerialLinkArcs run on the calling thread.
+/// below kSerialPassArcs (common/parallel.h) run on the calling thread.
 Result<algo::ComponentResult> ShardedComponents(
     const ShardedCsr& g, const ShardedTraversalOptions& options = {});
 

@@ -1,6 +1,8 @@
 #include "stream/incremental.h"
 
+#include <map>
 #include <string>
+#include <utility>
 
 #include "algorithms/connected_components.h"
 #include "obs/metrics.h"
@@ -32,6 +34,28 @@ Status ValidateDeltaEndpoints(std::span<const GraphDelta> deltas,
           ", " + std::to_string(d.dst) + ") outside universe of " +
           std::to_string(num_vertices) + " vertices");
     }
+  }
+  return Status::OK();
+}
+
+Status ValidateDeltaRemovals(
+    std::span<const GraphDelta> deltas,
+    const std::function<uint64_t(VertexId, VertexId)>& live_count) {
+  std::map<std::pair<VertexId, VertexId>, int64_t> adjust;
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    const GraphDelta& d = deltas[i];
+    int64_t& adj = adjust[{d.src, d.dst}];
+    if (d.kind == GraphDelta::Kind::kInsert) {
+      ++adj;
+      continue;
+    }
+    const int64_t live = static_cast<int64_t>(live_count(d.src, d.dst)) + adj;
+    if (live <= 0) {
+      return Status::NotFound("delta " + std::to_string(i) + " removes arc (" +
+                              std::to_string(d.src) + ", " +
+                              std::to_string(d.dst) + ") with no live copy");
+    }
+    --adj;
   }
   return Status::OK();
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -59,5 +60,14 @@ std::vector<uint32_t> CanonicalComponentLabels(std::span<const uint32_t> labels)
 /// call this before mutating any state so a bad batch is rejected atomically.
 Status ValidateDeltaEndpoints(std::span<const GraphDelta> deltas,
                               VertexId num_vertices);
+
+/// Checks every removal against its arc's live multiplicity, adjusted for the
+/// batch's earlier deltas, and fails with NotFound at the first one that
+/// removes an arc with no live copy. live_count(src, dst) is the arc's
+/// multiplicity before the batch. Like ValidateDeltaEndpoints, the engines
+/// call this before mutating any state.
+Status ValidateDeltaRemovals(
+    std::span<const GraphDelta> deltas,
+    const std::function<uint64_t(VertexId, VertexId)>& live_count);
 
 }  // namespace ubigraph::stream

@@ -1,7 +1,5 @@
 #include "stream/incremental_components.h"
 
-#include <string>
-
 namespace ubigraph::stream {
 
 IncrementalComponents::IncrementalComponents(VertexId n) : n_(n), uf_(n) {}
@@ -25,31 +23,16 @@ Result<IncrementalComponents> IncrementalComponents::Create(
 Result<IncrementalComponents::BatchResult> IncrementalComponents::ApplyBatch(
     std::span<const GraphDelta> deltas) {
   UG_RETURN_NOT_OK(ValidateDeltaEndpoints(deltas, n_));
+  UG_RETURN_NOT_OK(ValidateDeltaRemovals(
+      deltas, [this](VertexId src, VertexId dst) -> uint64_t {
+        auto it = mult_.find({src, dst});
+        return it == mult_.end() ? 0 : it->second;
+      }));
 
-  // Phase 1: validate removals against multiplicities adjusted by earlier
-  // deltas of this batch; reject the whole batch before mutating.
-  std::map<std::pair<VertexId, VertexId>, int64_t> adjust;
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    const GraphDelta& d = deltas[i];
-    int64_t& adj = adjust[{d.src, d.dst}];
-    if (d.kind == GraphDelta::Kind::kInsert) {
-      ++adj;
-      continue;
-    }
-    auto it = mult_.find({d.src, d.dst});
-    const int64_t live = (it == mult_.end() ? 0 : static_cast<int64_t>(it->second)) + adj;
-    if (live <= 0) {
-      return Status::NotFound("delta " + std::to_string(i) + " removes arc (" +
-                              std::to_string(d.src) + ", " +
-                              std::to_string(d.dst) + ") with no live copy");
-    }
-    --adj;
-  }
-
-  // Phase 2: apply. Inserts union immediately; a deletion only endangers
-  // connectivity when it removes the LAST undirected connection between
-  // distinct endpoints, in which case one rebuild runs at the end of the
-  // batch (splits cannot be undone by union-find).
+  // The batch is valid: apply it. Inserts union immediately; a deletion only
+  // endangers connectivity when it removes the LAST undirected connection
+  // between distinct endpoints, in which case one rebuild runs at the end of
+  // the batch (splits cannot be undone by union-find).
   BatchResult result;
   IncrementalWork work;
   bool needs_rebuild = false;

@@ -1,9 +1,10 @@
 // Warm-started PageRank over GraphDelta batches. After a batch of edge
 // inserts/deletes the engine does not restart from the teleport vector: it
-// runs full pull sweeps (algo::PageRank's kPull update, every vertex
-// gathered every sweep) from the previous fixpoint until one sweep's L1
-// change falls under tolerance. A batch perturbs the fixpoint a little, so
-// the warm run certifies in far fewer sweeps than a cold one.
+// runs full pull sweeps (algo::PullSweeps, the kernel of algo::PageRank's
+// kPull mode: every vertex gathered every sweep) from the previous fixpoint
+// until one sweep's L1 change falls under tolerance. A batch perturbs the
+// fixpoint a little, so the warm run certifies in far fewer sweeps than a
+// cold one.
 //
 // Why full sweeps rather than a frontier of touched vertices: a frontier
 // sweep must skip small changes and move the skipped vertices by a dangling
@@ -20,7 +21,10 @@
 // maintenance" for the measured ulp-level gap vs. cold recompute — but
 // results ARE bitwise-identical across thread counts: every sweep reduces
 // over the same fixed grain-1024 chunk tree (ParallelReduce in
-// src/common/parallel.h, which runs it inline at one thread).
+// src/common/parallel.h, which runs it inline at one thread). The initial
+// run of Create is a cold run: it matches algo::PageRank's kPull scores and
+// sweep count bitwise on a CSR of the same arcs, at equal tolerance and
+// budget.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +47,10 @@ struct IncrementalPageRankOptions {
   /// only binds on adversarial batches, in which case the BatchResult
   /// reports converged = false and scores hold the last iterate.
   uint32_t max_sweeps = 200;
-  /// 0 = hardware_concurrency, 1 = serial (default). Graphs under 2^17 arcs
-  /// sweep serially at any setting, where a fork costs more than it spreads.
-  /// Scores are bitwise-identical at every setting.
+  /// 0 = hardware_concurrency, 1 = serial (default). Graphs under
+  /// kSerialPassArcs (2^17) arcs sweep serially at any setting, where a fork
+  /// costs more than it spreads. Scores are bitwise-identical at every
+  /// setting.
   uint32_t num_threads = 1;
 };
 

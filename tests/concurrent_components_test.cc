@@ -5,7 +5,7 @@
 // isolated vertices scattered around a giant component, two equal giants
 // (the giant-component sample ties), and a directed graph whose small pieces
 // hang off arcs out of giant vertices (the finish pass must link in-arcs).
-// Every graph has at least kSerialLinkArcs arcs, so the threaded path runs.
+// Every graph has at least kSerialPassArcs arcs, so the threaded path runs.
 // Labels must equal the serial WeaklyConnectedComponents bitwise, the work
 // counters must not move with the thread count, and the compressed forest
 // must point every vertex at its component's smallest vertex.
@@ -31,7 +31,7 @@ namespace {
 constexpr uint32_t kThreadCounts[] = {1, 2, 4, 8};
 constexpr int kRepeats = 20;
 /// Vertices per giant: enough arcs that the parallel path runs.
-constexpr VertexId kGiant = static_cast<VertexId>(algo::kSerialLinkArcs / 2);
+constexpr VertexId kGiant = static_cast<VertexId>(kSerialPassArcs / 2);
 
 using Pairs = std::vector<std::pair<VertexId, VertexId>>;
 
@@ -128,7 +128,7 @@ class ConcurrentComponentsTest : public ::testing::TestWithParam<std::string> {}
 
 TEST_P(ConcurrentComponentsTest, LabelsMatchUnionFindAtEveryThreadCount) {
   const CsrGraph g = MakeGraph(GetParam());
-  ASSERT_GE(g.num_edges(), algo::kSerialLinkArcs);
+  ASSERT_GE(g.num_edges(), kSerialPassArcs);
   const algo::ComponentResult oracle = algo::WeaklyConnectedComponents(g);
   const CompressedCsrGraph compressed =
       CompressedCsrGraph::FromCsr(g).ValueOrDie();

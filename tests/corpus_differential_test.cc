@@ -156,8 +156,7 @@ TEST_P(CorpusDifferentialTest, PageRankModesAgreeOnEveryRepresentation) {
   const auto oracle = algo::PageRank(reps.plain, base).ValueOrDie();
   ASSERT_TRUE(oracle.converged);
 
-  for (auto mode : {algo::PageRankMode::kPull, algo::PageRankMode::kPush,
-                    algo::PageRankMode::kDelta}) {
+  for (auto mode : {algo::PageRankMode::kPull, algo::PageRankMode::kPush}) {
     for (uint32_t threads : kThreadCounts) {
       SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
                    " threads=" + std::to_string(threads));

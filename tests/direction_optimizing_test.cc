@@ -13,11 +13,13 @@
 #include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/traversal.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "components_oracle.h"
 #include "gen/generators.h"
 #include "graph/csr_graph.h"
 #include "graph/frontier.h"
+#include "stream/incremental_pagerank.h"
 
 namespace ubigraph {
 namespace {
@@ -152,8 +154,6 @@ TEST(InEdgeContractTest, DirectedWithoutInIndexFailsWithClearStatus) {
   algo::PageRankOptions pr;
   pr.mode = algo::PageRankMode::kPull;
   EXPECT_FALSE(algo::PageRank(g, pr).ok());
-  pr.mode = algo::PageRankMode::kDelta;
-  EXPECT_FALSE(algo::PageRank(g, pr).ok());
   pr.mode = algo::PageRankMode::kPush;
   EXPECT_TRUE(algo::PageRank(g, pr).ok());
 
@@ -177,17 +177,13 @@ TEST(PageRankModeTest, ModesAgreeWithinTolerance) {
     base.max_iterations = 200;
     base.mode = algo::PageRankMode::kPull;
     auto pull = algo::PageRank(g, base).ValueOrDie();
-    for (algo::PageRankMode mode :
-         {algo::PageRankMode::kPush, algo::PageRankMode::kDelta}) {
-      algo::PageRankOptions opts = base;
-      opts.mode = mode;
-      auto other = algo::PageRank(g, opts).ValueOrDie();
-      EXPECT_EQ(other.mode, mode);
-      ASSERT_EQ(other.scores.size(), pull.scores.size());
-      for (size_t v = 0; v < pull.scores.size(); ++v) {
-        EXPECT_NEAR(other.scores[v], pull.scores[v], 1e-8)
-            << name << " mode=" << static_cast<int>(mode) << " v=" << v;
-      }
+    algo::PageRankOptions opts = base;
+    opts.mode = algo::PageRankMode::kPush;
+    auto push = algo::PageRank(g, opts).ValueOrDie();
+    EXPECT_EQ(push.mode, algo::PageRankMode::kPush);
+    ASSERT_EQ(push.scores.size(), pull.scores.size());
+    for (size_t v = 0; v < pull.scores.size(); ++v) {
+      EXPECT_NEAR(push.scores[v], pull.scores[v], 1e-8) << name << " v=" << v;
     }
   }
 }
@@ -195,8 +191,7 @@ TEST(PageRankModeTest, ModesAgreeWithinTolerance) {
 TEST(PageRankModeTest, ParallelRunsAreDeterministicPerMode) {
   for (const auto& [name, g] : TestGraphs()) {
     for (algo::PageRankMode mode :
-         {algo::PageRankMode::kPull, algo::PageRankMode::kPush,
-          algo::PageRankMode::kDelta}) {
+         {algo::PageRankMode::kPull, algo::PageRankMode::kPush}) {
       algo::PageRankOptions serial;
       serial.mode = mode;
       serial.max_iterations = 30;
@@ -211,13 +206,53 @@ TEST(PageRankModeTest, ParallelRunsAreDeterministicPerMode) {
         EXPECT_EQ(a.scores, b.scores)
             << name << " mode=" << static_cast<int>(mode)
             << " threads=" << threads;
-        // ...and within tolerance of the serial path.
+        // ...and, for pull, identical to the serial path; push merges
+        // per-worker arrays, so it lands within tolerance of it.
+        if (mode == algo::PageRankMode::kPull) {
+          EXPECT_EQ(a.scores, oracle.scores)
+              << name << " threads=" << threads;
+          EXPECT_EQ(a.iterations, oracle.iterations)
+              << name << " threads=" << threads;
+          continue;
+        }
         for (size_t v = 0; v < oracle.scores.size(); ++v) {
           EXPECT_NEAR(a.scores[v], oracle.scores[v], 1e-9)
               << name << " mode=" << static_cast<int>(mode)
               << " threads=" << threads << " v=" << v;
         }
       }
+    }
+  }
+}
+
+// algo::PageRank's pull mode and the stream engine's cold start run the same
+// sweep kernel (algo::PullSweeps) over the same ascending in-rows, so their
+// scores and sweep counts agree bitwise at every thread count of either.
+// RMAT-14 has 2^17 arcs, enough for the sweeps to fork; RMAT-11 sweeps on the
+// caller.
+TEST(PageRankModeTest, PullMatchesStreamEngineBitwiseAtEveryThreadCount) {
+  for (uint32_t scale : {11u, 14u}) {
+    Rng rng(scale);
+    const EdgeList el =
+        gen::Rmat(scale, uint64_t{8} << scale, &rng).ValueOrDie();
+    const CsrGraph g = Build(el, true, true);
+    ASSERT_EQ(g.num_edges() >= kSerialPassArcs, scale == 14);
+    for (uint32_t threads : kThreadCounts) {
+      const auto stream =
+          stream::IncrementalPageRank::Create(
+              el, {.tolerance = 1e-10, .max_sweeps = 100, .num_threads = threads})
+              .ValueOrDie();
+      ASSERT_TRUE(stream.initial_result().converged) << "scale=" << scale;
+      algo::PageRankOptions opts;
+      opts.tolerance = 1e-10;
+      opts.max_iterations = 100;
+      opts.mode = algo::PageRankMode::kPull;
+      opts.num_threads = threads;
+      const auto pull = algo::PageRank(g, opts).ValueOrDie();
+      EXPECT_EQ(pull.scores, stream.scores())
+          << "scale=" << scale << " threads=" << threads;
+      EXPECT_EQ(pull.iterations, stream.initial_result().sweeps)
+          << "scale=" << scale << " threads=" << threads;
     }
   }
 }

@@ -81,11 +81,9 @@ TEST(PageRankTest, DirectedWithoutInEdgesFallsBackToPush) {
   // kAuto degrades to push mode (no in-edge index needed)...
   auto pr = PageRank(g).ValueOrDie();
   EXPECT_EQ(pr.mode, PageRankMode::kPush);
-  // ...but explicitly requested pull/delta modes fail with a clear Status.
+  // ...but an explicitly requested pull mode fails with a clear Status.
   PageRankOptions opts;
   opts.mode = PageRankMode::kPull;
-  EXPECT_FALSE(PageRank(g, opts).ok());
-  opts.mode = PageRankMode::kDelta;
   EXPECT_FALSE(PageRank(g, opts).ok());
 }
 
